@@ -2,8 +2,9 @@
 
 Regenerates the fitting-error profile over the characterization suite
 (paper: max < 8.9%, RMS 3.8%) and benchmarks one full characterization
-sample — traced simulation + reference RTL estimation + variable
-extraction — i.e. the per-program cost of building the macro-model.
+sample — one simulation pass with the reference RTL estimation riding
+on it, plus variable extraction — i.e. the per-program cost of building
+the macro-model.
 """
 
 from repro.analysis import run_fig3

@@ -28,7 +28,7 @@ def test_speedup_macro_path(benchmark, ctx, drawline_case):
 
 
 def test_speedup_reference_path(benchmark, ctx, drawline_case):
-    """The slow path: traced ISS + structural RTL energy walk."""
+    """The slow path: one ISS pass with the structural RTL energy walk attached."""
     config, program = drawline_case
     estimator = RtlEnergyEstimator(generate_netlist(config))
     report, _ = benchmark(estimator.estimate_program, program)

@@ -37,7 +37,6 @@ from ..core import (
     instruction_level_template,
     unweighted_template,
 )
-from ..core.runner import default_estimate
 from ..core.model import EnergyMacroModel
 from ..programs import (
     BenchmarkCase,
@@ -93,7 +92,7 @@ def build_context(
     simulate = estimate = None
     if fault_plan is not None:
         simulate = fault_plan.wrap_session()
-        estimate = fault_plan.wrap_estimate(default_estimate(characterizer))
+        estimate = fault_plan.wrap_estimate()
     runner = CharacterizationRunner(
         characterizer,
         checkpoint_path=checkpoint_path,

@@ -3,11 +3,14 @@
 For every test program (on whatever extended-processor configuration it
 targets) the characterizer:
 
-1. simulates it with full tracing (step 6: instruction-set simulation);
-2. runs the dynamic resource-usage analysis (step 7) and extracts the
-   template variables — one design-matrix row;
-3. generates the custom processor's netlist and runs the reference RTL
-   energy estimator on the trace (steps 4-5) — one energy sample;
+1. generates the custom processor's netlist and simulates the program
+   once (step 6: instruction-set simulation) with the reference RTL
+   energy estimator's streaming observer attached (steps 4-5) — the
+   pass yields both the execution statistics and one energy sample,
+   without building a trace;
+2. runs the dynamic resource-usage analysis (step 7) on those
+   statistics and extracts the template variables — one design-matrix
+   row;
 
 and finally fits the energy coefficients by regression (step 8).
 
@@ -216,8 +219,8 @@ class Characterizer:
     def save_samples(self, path: str) -> None:
         """Persist collected samples as JSON.
 
-        The expensive half of characterization is the per-program traced
-        simulation + reference RTL estimation; saved samples let a later
+        The expensive half of characterization is the per-program
+        simulation pass with reference RTL estimation; saved samples let a later
         session re-fit (e.g. with a different regression method) without
         touching the simulator.  Samples are bound to the template they
         were extracted under.  The write is atomic (tmp + ``os.replace``).

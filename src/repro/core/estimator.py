@@ -5,8 +5,9 @@ compares two paths on the same application:
 
 * the **macro-model path** — ISS without tracing, variable extraction,
   one dot product (seconds in the paper);
-* the **reference path** — processor generation + traced simulation +
-  RTL-level energy estimation (hours in the paper).
+* the **reference path** — processor generation + one simulation pass
+  with the RTL-level energy estimator's observer attached (hours in the
+  paper).
 
 :class:`EstimationStudy` runs both, timing each, and accumulates the
 per-application comparison rows that the Table II benchmark prints.

@@ -22,8 +22,9 @@ from ..isa import InstructionClass
 from ..isa.classes import BASE_ENERGY_CLASSES
 from ..obs.bundled import apply_event, gpr_accessing_mnemonics
 from ..obs.protocol import SimObserver
+from ..obs.records import ExecutionStats, TraceRecord
 from ..obs.session import run_session
-from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ExecutionStats, ProcessorConfig, TraceRecord
+from ..xtcore import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .model import EnergyMacroModel
 
 if TYPE_CHECKING:  # pragma: no cover

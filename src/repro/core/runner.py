@@ -1,19 +1,20 @@
 """Fault-tolerant characterization runtime (robustness extension).
 
 In-situ characterization (paper Fig. 2, steps 1-8) is the expensive half
-of the flow: every sample costs a fully-traced ISS run plus a reference
-RTL estimation.  The plain :class:`~repro.core.characterize.Characterizer`
-is all-or-nothing — one :class:`~repro.xtcore.SimulationError`, assembly
+of the flow: every sample costs one ISS pass with the reference RTL
+estimator's streaming observer attached, so the execution statistics and
+the reference energy come out of the same run and no trace is built.
+The plain :class:`~repro.core.characterize.Characterizer` is
+all-or-nothing — one :class:`~repro.xtcore.SimulationError`, assembly
 failure or non-finite energy aborts the suite and discards every prior
 sample.  At production scale (large suites, many processor variants,
 partially-failing batch sweeps) that is unacceptable, so this module
-wraps the sim→RTL→extract pipeline per sample with:
+wraps the sim+RTL→extract pipeline per sample with:
 
 * **error isolation** — each failure is captured as a structured
   :class:`SampleFailure` record instead of propagating;
 * **a retry policy** (:class:`RetryPolicy`) — transient failures are
-  retried with a lowered instruction budget and an optional cheap
-  trace-off probe before the traced re-run;
+  retried with a lowered instruction budget;
 * **checkpointing** — completed samples (plus failure records) are
   periodically written to the ``save_samples`` JSON format with atomic
   tmp + ``os.replace`` writes, and a later run can resume from the
@@ -25,7 +26,7 @@ wraps the sim→RTL→extract pipeline per sample with:
   that lost coverage, and more failures than ``max_failures`` raises
   :class:`TooManyFailures`.
 
-The simulation and energy-estimation stages are injectable, which is how
+The simulation and energy stages are injectable, which is how
 :mod:`repro.testing.faults` deterministically injects simulator
 exceptions, NaN/Inf energies and budget exhaustion to prove containment.
 """
@@ -40,7 +41,8 @@ import numpy as np
 
 from ..asm import Program
 from ..obs.session import DEFAULT_MAX_INSTRUCTIONS, SessionFn, run_session
-from ..xtcore import ProcessorConfig, SimulationResult
+from ..rtl import EnergyReport
+from ..xtcore import ProcessorConfig
 from .characterize import (
     CharacterizationResult,
     CharacterizationSample,
@@ -50,15 +52,9 @@ from .characterize import (
 from .coverage import CoverageReport, audit_coverage
 from .extract import extract_variables
 
-#: Legacy positional ``simulate(config, program, collect_trace,
-#: max_instructions)`` seam shape.  The runner now invokes its simulation
-#: stage with keyword arguments (the :data:`~repro.obs.session.SessionFn`
-#: contract); callables of this legacy shape keep working as long as they
-#: use the standard parameter names.
-SimulateFn = Callable[[ProcessorConfig, Program, bool, int], SimulationResult]
-
-#: ``estimate_energy(config, sim_result) -> float`` seam.
-EstimateFn = Callable[[ProcessorConfig, SimulationResult], float]
+#: ``estimate_energy(config, report) -> float`` seam: the sample energy
+#: taken from the pass's reference :class:`~repro.rtl.EnergyReport`.
+EstimateFn = Callable[[ProcessorConfig, EnergyReport], float]
 
 
 class CharacterizationRunError(RuntimeError):
@@ -91,33 +87,9 @@ class CheckpointError(ValueError):
     """A checkpoint file could not be read back."""
 
 
-def default_simulate(
-    config: ProcessorConfig,
-    program: Program,
-    collect_trace: bool = False,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-) -> SimulationResult:
-    """Positional-compatibility wrapper around :func:`repro.obs.run_session`.
-
-    The production simulation stage is :func:`~repro.obs.session.run_session`
-    itself; this shim keeps the pre-session positional call shape working.
-    """
-    return run_session(
-        config,
-        program,
-        collect_trace=collect_trace,
-        max_instructions=max_instructions,
-    )
-
-
-def default_estimate(characterizer: Characterizer) -> EstimateFn:
-    """The production RTL-reference energy stage, sharing the
-    characterizer's per-config netlist/estimator cache."""
-
-    def estimate(config: ProcessorConfig, result: SimulationResult) -> float:
-        return characterizer._estimator_for(config).estimate(result).total
-
-    return estimate
+def default_estimate(config: ProcessorConfig, report: EnergyReport) -> float:
+    """The production energy stage: the reference report's total."""
+    return report.total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,14 +101,11 @@ class RetryPolicy:
     ``budget_factor`` so a deterministically hanging program (budget
     exhaustion) fails fast instead of paying the full budget again, while
     a transient failure gets a real second chance — characterization
-    programs finish far below their budget.  With ``probe_without_trace``
-    a retry first re-runs the simulator trace-off (cheap) to confirm the
-    program terminates before paying for the traced run.
+    programs finish far below their budget.
     """
 
     max_attempts: int = 2
     budget_factor: float = 0.5
-    probe_without_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -322,11 +291,13 @@ class CharacterizationRunner:
         surviving samples no longer span the template.
     simulate / estimate_energy:
         Injectable pipeline stages (used by the fault-injection harness).
-        ``simulate`` is invoked with keyword arguments per the
-        :data:`~repro.obs.session.SessionFn` contract — wrap it with
-        :meth:`repro.testing.faults.FaultPlan.wrap_session`; legacy
-        positional-signature callables keep working as long as their
-        parameters are named ``collect_trace`` / ``max_instructions``.
+        ``simulate`` follows the keyword-only
+        :data:`~repro.obs.session.SessionFn` contract (wrap it with
+        :meth:`repro.testing.faults.FaultPlan.wrap_session`) and must
+        pass ``observers`` through: the reference energy is accumulated
+        by the RTL observer riding on that one run.  ``estimate_energy``
+        (an :data:`EstimateFn`) turns the run's reference report into the
+        sample energy.
     """
 
     def __init__(
@@ -357,10 +328,8 @@ class CharacterizationRunner:
         self.progress = progress
         self.failures: list[SampleFailure] = []
         self._simulate: SessionFn = simulate if simulate is not None else run_session
-        self._estimate = (
-            estimate_energy
-            if estimate_energy is not None
-            else default_estimate(self.characterizer)
+        self._estimate: EstimateFn = (
+            estimate_energy if estimate_energy is not None else default_estimate
         )
 
     # -- checkpointing -----------------------------------------------------
@@ -476,9 +445,15 @@ class CharacterizationRunner:
         )
 
     def _run_task(self, task: RunnerTask) -> CharacterizationSample | SampleFailure:
-        """One task through build→(simulate→estimate→extract→validate)×retry."""
+        """One task through build→(simulate+reference→estimate→extract→validate)×retry.
+
+        Each attempt is a single ``run_session`` with the characterizer's
+        RTL observer attached and no trace: stats and reference energy
+        come from the same pass.
+        """
         try:
             config, program = task.builder()
+            observer = self.characterizer._estimator_for(config).observer()
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             return SampleFailure.from_exception(task.name, "", "build", exc)
         stage = "simulate"
@@ -489,16 +464,11 @@ class CharacterizationRunner:
             budget = self.retry.budget_for(attempt, task.max_instructions)
             try:
                 stage = "simulate"
-                if attempt > 1 and self.retry.probe_without_trace:
-                    # cheap termination probe before paying for the trace
-                    self._simulate(
-                        config, program, collect_trace=False, max_instructions=budget
-                    )
                 sim = self._simulate(
-                    config, program, collect_trace=True, max_instructions=budget
+                    config, program, observers=(observer,), max_instructions=budget
                 )
                 stage = "estimate"
-                energy = float(self._estimate(config, sim))
+                energy = float(self._estimate(config, observer.report))
                 stage = "extract"
                 variables = extract_variables(
                     sim.stats, config, self.characterizer.template

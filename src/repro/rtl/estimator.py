@@ -21,17 +21,22 @@ macro-model sees only class-level aggregates, the macro-model's fit has
 an irreducible error of a few percent — reproducing the paper's Fig. 3 /
 Table II error profile rather than a degenerate exact fit.
 
-Two consumption modes share one switching-activity accumulator:
+The production path is a single pass: an observer
+(:meth:`RtlEnergyEstimator.observer`, or
+:meth:`~RtlEnergyEstimator.estimate_program`) subscribed to the
+simulator's retire-event stream computes data-dependent switching
+activity *online* while the same run collects the execution statistics
+— O(1) trace memory, no trace built.  Characterization takes every
+sample this way.  :meth:`~RtlEnergyEstimator.estimate` replays a
+``collect_trace=True`` trace through the same accumulator, so the two
+agree bit for bit.
 
-* **streaming** (:meth:`RtlEnergyEstimator.observer` /
-  :meth:`~RtlEnergyEstimator.estimate_program`): an observer subscribed
-  to the simulator's retire-event stream computes data-dependent
-  switching activity *online* — one pass, O(1) trace memory; and
-* **materialized** (:meth:`~RtlEnergyEstimator.estimate`): the
-  compatibility path over a ``collect_trace=True`` trace list.
-
-Both walk identical arithmetic over identical per-instruction values, so
-their energy reports agree exactly.
+The walk is the per-retire hot loop of characterization, so everything
+that does not depend on the retired values is resolved once per
+estimator: a 33-entry toggle table indexed by the 32-bit Hamming
+distance, per-mnemonic charge plans, and constant charges already
+multiplied by the operating-point scale (in the walk's own operand
+order, so they round exactly as a per-charge product would).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from ..hwlib import ComponentInstance
 from ..isa import InstructionClass, hamming_distance
 from ..obs.protocol import SimObserver
 from ..obs.session import run_session
@@ -72,6 +76,41 @@ def _toggle_factor(previous: int, current: int, width: int = 32) -> float:
         return _TOGGLE_FLOOR
     density = hamming_distance(previous, current, width) / width
     return _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * density
+
+
+_WORD_MASK = 0xFFFFFFFF
+
+#: Activity factor per 32-bit Hamming distance 0..32, indexed by
+#: ``((previous ^ current) & _WORD_MASK).bit_count()`` — each entry is
+#: exactly what :func:`_toggle_factor` returns at that distance.
+_TOGGLE_TABLE = tuple(_toggle_factor(0, (1 << distance) - 1) for distance in range(33))
+
+#: Execution-unit kinds of a per-mnemonic charge plan.  The two
+#: two-operand units come first: their kind indexes their state.
+_ALU, _MULTIPLIER, _NO_UNIT, _SHIFTER, _MEMORY, _CONTROL_FLOW, _CUSTOM = range(7)
+
+#: Report groups, in report order, and their accumulator slots.
+_GROUPS = ("base_core", "custom_hw", "events", "control", "idle")
+_BASE_CORE, _CUSTOM_HW, _EVENTS, _CONTROL, _IDLE = range(len(_GROUPS))
+
+#: Accumulator slots of the base-core blocks (their report order).
+_BLOCK_SLOT = {name: slot for slot, name in enumerate(BLOCKS_BY_NAME)}
+_FETCH = _BLOCK_SLOT["fetch_unit"]
+_DECODER = _BLOCK_SLOT["instruction_decoder"]
+_REGISTER_FILE = _BLOCK_SLOT["register_file"]
+_ALU_BLOCK = _BLOCK_SLOT["alu"]
+_SHIFTER_BLOCK = _BLOCK_SLOT["base_shifter"]
+_LOAD_STORE = _BLOCK_SLOT["load_store_unit"]
+_ICACHE = _BLOCK_SLOT["icache"]
+_DCACHE = _BLOCK_SLOT["dcache"]
+_BUS = _BLOCK_SLOT["bus_interface"]
+_PIPELINE = _BLOCK_SLOT["pipeline_control"]
+_CLOCK = _BLOCK_SLOT["clock_tree"]
+#: Block slot of each two-operand unit, indexed by unit kind.
+_TWO_OPERAND_SLOTS = (_BLOCK_SLOT["alu"], _BLOCK_SLOT["base_multiplier"])
+
+#: Classes whose instructions always drive a register-file write port.
+_WRITING_CLASSES = (InstructionClass.ARITH, InstructionClass.LOAD, InstructionClass.CUSTOM)
 
 
 @dataclasses.dataclass
@@ -109,34 +148,23 @@ class _ActivityAccumulator:
     :class:`~repro.obs.events.RetireEvent` interchangeably (identical
     field layout) and never retains a reference past the
     :meth:`feed` call, so streaming consumption is O(1) in trace length.
+
+    Every charge is ``amount * energy_scale``, added to its block and to
+    its group in retire order; constant amounts are pre-multiplied once
+    by the estimator with the same operand order, so a report is
+    bit-for-bit the sum a per-charge walk would produce.  Blocks and
+    groups are list slots (block slots are fixed by the estimator) and
+    become the report's dicts in :meth:`finish`.
     """
 
     def __init__(self, estimator: "RtlEnergyEstimator") -> None:
         self._est = estimator
-        self.by_block: dict[str, float] = {name: 0.0 for name in estimator._blocks}
-        for instance in estimator.netlist.custom_instances:
-            self.by_block[instance.name] = 0.0
-        self.by_block["tie_control"] = 0.0
-        self.groups = {
-            "base_core": 0.0,
-            "custom_hw": 0.0,
-            "events": 0.0,
-            "control": 0.0,
-            "idle": 0.0,
-        }
-        mean_toggle = (_TOGGLE_FLOOR + 1.0) / 2.0
-        if estimator.data_dependent:
-            self._toggle_of = _toggle_factor
-        else:
-            def toggle_of(previous: int, current: int, width: int = 32) -> float:
-                return mean_toggle
-
-            self._toggle_of = toggle_of
+        self.by_block = [0.0] * len(estimator._block_names)
+        self.groups = [0.0] * len(_GROUPS)
         # Activity history (per consumer context).
         self._prev_pc = 0
-        self._prev_alu = (0, 0)
-        self._prev_mul = (0, 0)
-        self._prev_shift = (0, 0)
+        self._prev_two_operand = [(0, 0), (0, 0)]  # ALU, multiplier
+        self._prev_shift = 0
         self._prev_mem = 0
         self._prev_bus = (0, 0)
         self._prev_custom: dict[str, tuple[int, ...]] = {}
@@ -146,190 +174,189 @@ class _ActivityAccumulator:
         est = self._est
         by_block = self.by_block
         groups = self.groups
-        blocks = est._blocks
-        extensions = est.config.extension_index
-        control = est.netlist.control
-        toggle_of = self._toggle_of
+        toggle = est._toggle_table
         scale = est.energy_scale
-
-        # Every unit of energy flows through this closure, so one factor
-        # here rescales the whole report to the estimator's operating
-        # point — exactly linear, matching EnergyMacroModel.at().
-        def charge(block: str, amount: float, group: str) -> None:
-            by_block[block] += amount * scale
-            groups[group] += amount * scale
-
+        mnemonic = record.mnemonic
+        iclass = record.iclass
+        plan = est._plans.get(mnemonic)
+        if plan is None:
+            plan = est._plan_for(mnemonic, iclass)
+        unit, decode_charge, decode_energy, always_port, latency = plan
         operands = record.operands
-        cycles = record.cycles
+        addr = record.addr
+        base = groups[_BASE_CORE]
 
         # ---- fetch + decode (every instruction) ----------------------
-        fetch_toggle = toggle_of(self._prev_pc, record.addr)
-        charge("fetch_unit", blocks["fetch_unit"].active_energy * fetch_toggle, "base_core")
-        self._prev_pc = record.addr
-        decode_var = est._decode_variation.get(record.mnemonic)
-        if decode_var is None:
-            if est.data_dependent:
-                decode_var = stable_unit_variation(
-                    "decode/" + record.mnemonic, spread=0.06
-                )
-            else:
-                decode_var = 1.0
-            est._decode_variation[record.mnemonic] = decode_var
-        charge(
-            "instruction_decoder",
-            blocks["instruction_decoder"].active_energy * decode_var,
-            "base_core",
-        )
+        fetch_toggle = toggle[((self._prev_pc ^ addr) & _WORD_MASK).bit_count()]
+        self._prev_pc = addr
+        charge = est._fetch_energy * fetch_toggle * scale
+        by_block[_FETCH] += charge
+        base += charge
+        by_block[_DECODER] += decode_charge
+        base += decode_charge
         if not record.uncached_fetch:
-            charge("icache", blocks["icache"].active_energy * fetch_toggle, "base_core")
-        if extensions:
+            charge = est._icache_energy * fetch_toggle * scale
+            by_block[_ICACHE] += charge
+            base += charge
+        if est._tie_decode_charge is not None:
             # The generated TIE decoder examines every fetched opcode.
-            charge("tie_control", control.decode_energy, "control")
+            by_block[est._tie_control] += est._tie_decode_charge
+            groups[_CONTROL] += est._tie_decode_charge
 
         # ---- register file -------------------------------------------
-        port_uses = len(operands) + (1 if record.result or record.iclass in (
-            InstructionClass.ARITH, InstructionClass.LOAD, InstructionClass.CUSTOM
-        ) else 0)
+        port_uses = len(operands) + (1 if record.result or always_port else 0)
         if port_uses:
             # Decode, word-line precharge etc. dominate; the marginal
             # cost of extra ports is sub-linear.
-            port_factor = 0.55 + 0.15 * min(port_uses, 3)
-            charge(
-                "register_file",
-                blocks["register_file"].active_energy * port_factor,
-                "base_core",
-            )
+            charge = est._port_charge[port_uses if port_uses < 3 else 3]
+            by_block[_REGISTER_FILE] += charge
+            base += charge
 
         # ---- execution units ------------------------------------------
-        iclass = record.iclass
-        if iclass is InstructionClass.ARITH:
+        if unit <= _MULTIPLIER:
             a = operands[0] if operands else 0
             b = operands[1] if len(operands) > 1 else record.result
-            if record.mnemonic in MULTIPLIER_MNEMONICS:
-                toggle = (
-                    toggle_of(self._prev_mul[0], a) + toggle_of(self._prev_mul[1], b)
-                ) / 2.0
-                self._prev_mul = (a, b)
-                active_cycles = est._latency[record.mnemonic]
-                charge(
-                    "base_multiplier",
-                    blocks["base_multiplier"].active_energy * toggle * active_cycles,
-                    "base_core",
-                )
-            elif record.mnemonic in SHIFTER_MNEMONICS:
-                toggle = toggle_of(self._prev_shift[0], a)
-                self._prev_shift = (a, b)
-                charge("base_shifter", blocks["base_shifter"].active_energy * toggle, "base_core")
-            else:
-                toggle = (
-                    toggle_of(self._prev_alu[0], a) + toggle_of(self._prev_alu[1], b)
-                ) / 2.0
-                self._prev_alu = (a, b)
-                # Iterative units (divide/remainder) keep the ALU busy
-                # for every issue cycle.
-                active_cycles = est._latency[record.mnemonic]
-                charge(
-                    "alu",
-                    blocks["alu"].active_energy * toggle * active_cycles,
-                    "base_core",
-                )
-        elif iclass in (InstructionClass.LOAD, InstructionClass.STORE):
-            addr = record.mem_addr or 0
-            toggle = toggle_of(self._prev_mem, addr)
-            self._prev_mem = addr
-            charge("load_store_unit", blocks["load_store_unit"].active_energy * toggle, "base_core")
-            charge("dcache", blocks["dcache"].active_energy * toggle, "base_core")
-        elif iclass in (
-            InstructionClass.JUMP,
-            InstructionClass.BRANCH_TAKEN,
-            InstructionClass.BRANCH_UNTAKEN,
-        ):
+            prev_a, prev_b = self._prev_two_operand[unit]
+            self._prev_two_operand[unit] = (a, b)
+            activity = (
+                toggle[((prev_a ^ a) & _WORD_MASK).bit_count()]
+                + toggle[((prev_b ^ b) & _WORD_MASK).bit_count()]
+            ) / 2.0
+            # Iterative units (multiply, divide/remainder) stay busy for
+            # every issue cycle.
+            charge = est._two_operand_energy[unit] * activity * latency * scale
+            by_block[_TWO_OPERAND_SLOTS[unit]] += charge
+            base += charge
+        elif unit == _SHIFTER:
+            a = operands[0] if operands else 0
+            activity = toggle[((self._prev_shift ^ a) & _WORD_MASK).bit_count()]
+            self._prev_shift = a
+            charge = est._shifter_energy * activity * scale
+            by_block[_SHIFTER_BLOCK] += charge
+            base += charge
+        elif unit == _MEMORY:
+            mem_addr = record.mem_addr or 0
+            activity = toggle[((self._prev_mem ^ mem_addr) & _WORD_MASK).bit_count()]
+            self._prev_mem = mem_addr
+            charge = est._lsu_energy * activity * scale
+            by_block[_LOAD_STORE] += charge
+            base += charge
+            charge = est._dcache_energy * activity * scale
+            by_block[_DCACHE] += charge
+            base += charge
+        elif unit == _CONTROL_FLOW:
             # Compare/target logic rides on the ALU; taken control flow
             # additionally re-steers the fetch unit.
-            charge("alu", blocks["alu"].active_energy * 0.6, "base_core")
+            by_block[_ALU_BLOCK] += est._compare_charge
+            base += est._compare_charge
             if iclass is not InstructionClass.BRANCH_UNTAKEN:
-                charge("fetch_unit", blocks["fetch_unit"].active_energy * 0.8, "base_core")
+                by_block[_FETCH] += est._resteer_charge
+                base += est._resteer_charge
 
-        # ---- custom instruction execution ------------------------------
-        if iclass is InstructionClass.CUSTOM:
-            impl = extensions[record.mnemonic]
-            previous = self._prev_custom.get(record.mnemonic)
-            toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * 0.5
-            if est.data_dependent and previous is not None and operands:
-                widths = est._custom_widths.get(record.mnemonic, ())
-                densities = [
-                    hamming_distance(p, c, width) / width
-                    for p, c, width in zip(
-                        previous, operands, widths or (32,) * len(operands)
-                    )
-                ]
-                mean_density = sum(densities) / len(densities)
-                toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * mean_density
-            self._prev_custom[record.mnemonic] = operands
-            for instance in impl.instances:
-                active = len(impl.active_cycles[instance.name])
-                if not active:
-                    continue
-                energy = est._instance_energy[instance.name] * toggle * active
-                charge(instance.name, energy, "custom_hw")
-            # A multi-cycle custom instruction stalls issue but keeps
-            # the decode latches, register-file ports and bypass logic
-            # engaged every cycle it occupies the pipeline.
-            extra_cycles = impl.latency - 1
-            if extra_cycles:
-                charge(
-                    "instruction_decoder",
-                    blocks["instruction_decoder"].active_energy * decode_var * extra_cycles,
-                    "base_core",
-                )
-                if port_uses:
-                    charge(
-                        "register_file",
-                        blocks["register_file"].active_energy * port_factor * extra_cycles,
-                        "base_core",
-                    )
-            if impl.accesses_gpr:
-                charge("tie_control", control.bypass_energy * impl.latency, "control")
-
-        # ---- spurious operand-bus activation ----------------------------
+        if unit == _CUSTOM:
+            base = self._feed_custom(record, decode_energy, port_uses, base)
         elif operands and est._taps:
+            # ---- spurious operand-bus activation ------------------------
             a = operands[0]
             b = operands[1] if len(operands) > 1 else 0
-            bus_toggle = (
-                toggle_of(self._prev_bus[0], a) + toggle_of(self._prev_bus[1], b)
-            ) / 2.0
+            prev_a, prev_b = self._prev_bus
             self._prev_bus = (a, b)
-            for instance, nominal in est._taps:
-                charge(
-                    instance.name,
-                    nominal * SPURIOUS_INPUT_STAGE_WEIGHT * bus_toggle,
-                    "custom_hw",
-                )
+            bus_toggle = (
+                toggle[((prev_a ^ a) & _WORD_MASK).bit_count()]
+                + toggle[((prev_b ^ b) & _WORD_MASK).bit_count()]
+            ) / 2.0
+            custom_hw = groups[_CUSTOM_HW]
+            for slot, weighted in est._taps:
+                charge = weighted * bus_toggle * scale
+                by_block[slot] += charge
+                custom_hw += charge
+            groups[_CUSTOM_HW] = custom_hw
 
         # ---- events ------------------------------------------------------
         if record.icache_miss:
-            charge("bus_interface", EVENT_ENERGY["icache_miss"], "events")
+            by_block[_BUS] += est._icache_miss_charge
+            groups[_EVENTS] += est._icache_miss_charge
         if record.dcache_miss:
-            charge("bus_interface", EVENT_ENERGY["dcache_miss"], "events")
+            by_block[_BUS] += est._dcache_miss_charge
+            groups[_EVENTS] += est._dcache_miss_charge
         if record.uncached_fetch:
-            charge("bus_interface", EVENT_ENERGY["uncached_fetch"], "events")
+            by_block[_BUS] += est._uncached_fetch_charge
+            groups[_EVENTS] += est._uncached_fetch_charge
         if record.interlock:
-            charge("pipeline_control", EVENT_ENERGY["interlock"], "events")
+            by_block[_PIPELINE] += est._interlock_charge
+            groups[_EVENTS] += est._interlock_charge
 
         # ---- per-cycle clock / pipeline / idle ----------------------------
-        charge("pipeline_control", blocks["pipeline_control"].active_energy * cycles, "base_core")
-        charge("clock_tree", blocks["clock_tree"].active_energy * cycles, "base_core")
-        idle = (est._base_idle_per_cycle + est._custom_idle_per_cycle) * cycles
-        charge("clock_tree", idle, "idle")
+        cycles = record.cycles
+        pipeline = est._pipeline_energy * cycles * scale
+        clock = est._clock_energy * cycles * scale
+        idle = est._idle_per_cycle * cycles * scale
+        by_block[_PIPELINE] += pipeline
+        groups[_BASE_CORE] = base + pipeline + clock
+        by_block[_CLOCK] += clock
+        by_block[_CLOCK] += idle
+        groups[_IDLE] += idle
+
+    def _feed_custom(
+        self,
+        record: "RetireEvent | object",
+        decode_energy: float,
+        port_uses: int,
+        base: float,
+    ) -> float:
+        """Charge one custom instruction; returns the updated base-core sum."""
+        est = self._est
+        by_block = self.by_block
+        groups = self.groups
+        scale = est.energy_scale
+        mnemonic = record.mnemonic
+        operands = record.operands
+        impl = est.config.extension_index[mnemonic]
+        previous = self._prev_custom.get(mnemonic)
+        toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * 0.5
+        if est.data_dependent and previous is not None and operands:
+            widths = est._custom_widths.get(mnemonic, ())
+            densities = [
+                hamming_distance(p, c, width) / width
+                for p, c, width in zip(previous, operands, widths or (32,) * len(operands))
+            ]
+            mean_density = sum(densities) / len(densities)
+            toggle = _TOGGLE_FLOOR + (1.0 - _TOGGLE_FLOOR) * mean_density
+        self._prev_custom[mnemonic] = operands
+        custom_hw = groups[_CUSTOM_HW]
+        for slot, energy, active in est._custom_units[mnemonic]:
+            charge = energy * toggle * active * scale
+            by_block[slot] += charge
+            custom_hw += charge
+        groups[_CUSTOM_HW] = custom_hw
+        # A multi-cycle custom instruction stalls issue but keeps the
+        # decode latches, register-file ports and bypass logic engaged
+        # every cycle it occupies the pipeline.
+        extra_cycles = impl.latency - 1
+        if extra_cycles:
+            charge = decode_energy * extra_cycles * scale
+            by_block[_DECODER] += charge
+            base += charge
+            if port_uses:
+                energy = est._port_energy[port_uses if port_uses < 3 else 3]
+                charge = energy * extra_cycles * scale
+                by_block[_REGISTER_FILE] += charge
+                base += charge
+        if impl.accesses_gpr:
+            charge = est.netlist.control.bypass_energy * impl.latency * scale
+            by_block[est._tie_control] += charge
+            groups[_CONTROL] += charge
+        return base
 
     def finish(self, program_name: str, cycles: int, instructions: int) -> EnergyReport:
         """Package the accumulated charges into an :class:`EnergyReport`."""
+        by_group = dict(zip(_GROUPS, self.groups))
         return EnergyReport(
             program_name=program_name,
             processor_name=self._est.config.name,
-            total=sum(self.groups.values()),
-            by_block=self.by_block,
-            by_group=self.groups,
+            total=sum(by_group.values()),
+            by_block=dict(zip(self._est._block_names, self.by_block)),
+            by_group=by_group,
             cycles=cycles,
             instructions=instructions,
         )
@@ -426,17 +453,35 @@ class RtlEnergyEstimator:
             self._instance_idle[instance.name] = (
                 instance.unit_energy * instance.info.idle_fraction * variation
             )
-        # Per-mnemonic decode variation: the within-class energy spread the
-        # macro-model cannot observe.
-        self._decode_variation: dict[str, float] = {}
-        # Bus-tapped instance lists per extension (precomputed).
-        self._taps: list[tuple[ComponentInstance, float]] = []
+        #: report order of the blocks; a block's position is its
+        #: accumulator slot (base blocks first, as ``_BLOCK_SLOT`` fixes)
+        slots = dict(_BLOCK_SLOT)
+        for name in [instance.name for instance in netlist.custom_instances] + ["tie_control"]:
+            slots.setdefault(name, len(slots))
+        self._block_names = tuple(slots)
+        self._tie_control = slots["tie_control"]
+        # Bus-tapped instances of every extension, with their input-stage
+        # nominal energy (precomputed).
+        self._taps: list[tuple[int, float]] = []
         for impl in self.config.extensions:
             for name in impl.bus_tapped:
-                instance = impl.instance_by_name(name)
-                self._taps.append((instance, self._instance_energy[name]))
-        self._base_idle_per_cycle = sum(b.idle_energy for b in netlist.base_blocks)
-        self._custom_idle_per_cycle = sum(self._instance_idle.values())
+                self._taps.append(
+                    (slots[name], self._instance_energy[name] * SPURIOUS_INPUT_STAGE_WEIGHT)
+                )
+        #: active custom units per custom mnemonic: (slot, nominal energy,
+        #: active cycles), in instance order
+        self._custom_units: dict[str, list[tuple[int, float, int]]] = {}
+        for impl in self.config.extensions:
+            units = []
+            for instance in impl.instances:
+                active = len(impl.active_cycles[instance.name])
+                if active:
+                    units.append(
+                        (slots[instance.name], self._instance_energy[instance.name], active)
+                    )
+            self._custom_units[impl.mnemonic] = units
+        base_idle_per_cycle = sum(b.idle_energy for b in netlist.base_blocks)
+        self._idle_per_cycle = base_idle_per_cycle + sum(self._instance_idle.values())
         #: issue-cycle latency per mnemonic (multi-cycle units stay active
         #: for every issue cycle)
         self._latency = {d.mnemonic: d.latency for d in self.config.isa}
@@ -452,6 +497,88 @@ class RtlEnergyEstimator:
             }
             ordered = tuple(widths[field] for field in ("rs", "rt") if field in widths)
             self._custom_widths[impl.mnemonic] = ordered
+
+        # What the activity walk reads on every retire, resolved once.
+        # Constant charges are pre-multiplied by the energy scale in the
+        # walk's own operand order, so they round exactly as it would.
+        scale = self.energy_scale
+        blocks = self._blocks
+        if data_dependent:
+            self._toggle_table = _TOGGLE_TABLE
+        else:
+            self._toggle_table = ((_TOGGLE_FLOOR + 1.0) / 2.0,) * len(_TOGGLE_TABLE)
+        #: active energies of the base blocks charged per retire
+        self._fetch_energy = blocks["fetch_unit"].active_energy
+        self._icache_energy = blocks["icache"].active_energy
+        self._shifter_energy = blocks["base_shifter"].active_energy
+        self._lsu_energy = blocks["load_store_unit"].active_energy
+        self._dcache_energy = blocks["dcache"].active_energy
+        self._pipeline_energy = blocks["pipeline_control"].active_energy
+        self._clock_energy = blocks["clock_tree"].active_energy
+        #: active energy of each two-operand unit, indexed by unit kind
+        self._two_operand_energy = (
+            blocks["alu"].active_energy,
+            blocks["base_multiplier"].active_energy,
+        )
+        #: register-file energy by port uses (index 1..3; more ports cost
+        #: the same as three)
+        self._port_energy = tuple(
+            blocks["register_file"].active_energy * (0.55 + 0.15 * ports)
+            for ports in range(4)
+        )
+        self._port_charge = tuple(energy * scale for energy in self._port_energy)
+        self._compare_charge = blocks["alu"].active_energy * 0.6 * scale
+        self._resteer_charge = blocks["fetch_unit"].active_energy * 0.8 * scale
+        self._icache_miss_charge = EVENT_ENERGY["icache_miss"] * scale
+        self._dcache_miss_charge = EVENT_ENERGY["dcache_miss"] * scale
+        self._uncached_fetch_charge = EVENT_ENERGY["uncached_fetch"] * scale
+        self._interlock_charge = EVENT_ENERGY["interlock"] * scale
+        self._tie_decode_charge: Optional[float] = (
+            netlist.control.decode_energy * scale if self.config.extensions else None
+        )
+        #: per-mnemonic charge plans, built on first retire
+        self._plans: dict[str, tuple] = {}
+
+    def _plan_for(self, mnemonic: str, iclass: InstructionClass) -> tuple:
+        """The retire-independent part of charging one mnemonic:
+        ``(unit, decode charge, decode energy, always writes, latency)``.
+
+        The decode variation is the within-class energy spread the
+        macro-model cannot observe.
+        """
+        if self.data_dependent:
+            decode_var = stable_unit_variation("decode/" + mnemonic, spread=0.06)
+        else:
+            decode_var = 1.0
+        decode_energy = self._blocks["instruction_decoder"].active_energy * decode_var
+        if iclass is InstructionClass.ARITH:
+            if mnemonic in MULTIPLIER_MNEMONICS:
+                unit = _MULTIPLIER
+            elif mnemonic in SHIFTER_MNEMONICS:
+                unit = _SHIFTER
+            else:
+                unit = _ALU
+        elif iclass in (InstructionClass.LOAD, InstructionClass.STORE):
+            unit = _MEMORY
+        elif iclass in (
+            InstructionClass.JUMP,
+            InstructionClass.BRANCH_TAKEN,
+            InstructionClass.BRANCH_UNTAKEN,
+        ):
+            unit = _CONTROL_FLOW
+        elif iclass is InstructionClass.CUSTOM:
+            unit = _CUSTOM
+        else:
+            unit = _NO_UNIT
+        plan = (
+            unit,
+            decode_energy * self.energy_scale,
+            decode_energy,
+            iclass in _WRITING_CLASSES,
+            self._latency.get(mnemonic, 1),
+        )
+        self._plans[mnemonic] = plan
+        return plan
 
     # -- public API -----------------------------------------------------------
 
@@ -478,8 +605,9 @@ class RtlEnergyEstimator:
     def estimate(self, result: SimulationResult) -> EnergyReport:
         """Estimate the energy of a simulated run (requires a full trace).
 
-        Compatibility path over a materialized trace; the streaming
-        observer computes the identical report without one.
+        Replays a materialized trace through the activity accumulator;
+        the streaming observer computes the identical report in the
+        simulation pass itself, without one.
         """
         if result.trace is None:
             raise ValueError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
 from typing import Optional, Sequence
 
 from ..asm import Program, assemble
@@ -35,7 +34,8 @@ from ..obs.protocol import SimObserver
 from ..obs.session import DEFAULT_MAX_INSTRUCTIONS, SessionFn, run_session
 from ..xtcore import ProcessorConfig, SimulationResult, build_processor
 from ..xtcore.iss import SimulationError, SimulationLimitExceeded
-from ..core.runner import EstimateFn, RunnerTask, SimulateFn
+from ..core.runner import EstimateFn, RunnerTask
+from ..rtl import EnergyReport
 
 #: Inject on every attempt (never exhausts).
 ALWAYS = -1
@@ -129,62 +129,19 @@ class FaultPlan:
 
         return session
 
-    def wrap_simulate(self, inner: Optional[SimulateFn] = None) -> SimulateFn:
-        """Deprecated positional-shape wrapper; use :meth:`wrap_session`.
+    def wrap_estimate(self) -> EstimateFn:
+        """An ``estimate_energy`` stage that injects NaN/Inf energies.
 
-        Kept for pre-session callers: accepts and returns the old
-        positional ``(config, program, collect_trace, max_instructions)``
-        stage shape, delegating to :meth:`wrap_session` internally.
+        Keys on the reference report's program name; every other report
+        yields its total, as the runner's production stage does.
         """
-        warnings.warn(
-            "FaultPlan.wrap_simulate() is deprecated; use wrap_session(), "
-            "which follows the keyword-only run_session() signature",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        inner_session: Optional[SessionFn] = None
-        if inner is not None:
-            inner_positional = inner
 
-            def inner_session(
-                config: ProcessorConfig,
-                program: Program,
-                *,
-                observers: Sequence[SimObserver] = (),
-                collect_trace: bool = False,
-                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                entry: Optional[int] = None,
-            ) -> SimulationResult:
-                return inner_positional(
-                    config, program, collect_trace, max_instructions
-                )
-
-        session = self.wrap_session(inner_session)
-
-        def simulate(
-            config: ProcessorConfig,
-            program: Program,
-            collect_trace: bool = False,
-            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        ) -> SimulationResult:
-            return session(
-                config,
-                program,
-                collect_trace=collect_trace,
-                max_instructions=max_instructions,
-            )
-
-        return simulate
-
-    def wrap_estimate(self, inner: EstimateFn) -> EstimateFn:
-        """An ``estimate_energy`` stage that injects NaN/Inf energies."""
-
-        def estimate(config: ProcessorConfig, result: SimulationResult) -> float:
-            spec = self._energy.get(result.program.name)
+        def estimate(config: ProcessorConfig, report: EnergyReport) -> float:
+            spec = self._energy.get(report.program_name)
             if spec is not None and spec.fire():
-                self.injected.append((result.program.name, spec.kind))
+                self.injected.append((report.program_name, spec.kind))
                 return float("nan") if spec.kind == "nan" else float("inf")
-            return inner(config, result)
+            return report.total
 
         return estimate
 

@@ -28,7 +28,7 @@ from .iss import (
     Simulator,
     simulate,
 )
-from .trace import ExecutionStats, TraceRecord, class_mix
+from ..obs.records import ExecutionStats, TraceRecord, class_mix
 
 __all__ = [
     "CacheConfig",

@@ -69,7 +69,7 @@ from .compiled import (
 )
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig
 from .errors import SimulationError, SimulationLimitExceeded
-from .trace import ExecutionStats, TraceRecord
+from ..obs.records import ExecutionStats, TraceRecord
 
 #: Value planted in the link register at reset; returning to it halts the
 #: simulation, so top-level routines may end with ``ret`` instead of ``halt``.

@@ -18,7 +18,7 @@ from repro.core import (
     TooManyFailures,
     characterize,
 )
-from repro.core.runner import as_task, default_estimate
+from repro.core.runner import as_task
 from repro.testing import FaultPlan, corrupt_checkpoint, hanging_task
 from repro.xtcore import build_processor
 
@@ -46,9 +46,7 @@ def _runner(characterizer=None, plan=None, **kwargs):
     characterizer = characterizer if characterizer is not None else Characterizer()
     if plan is not None:
         kwargs.setdefault("simulate", plan.wrap_session())
-        kwargs.setdefault(
-            "estimate_energy", plan.wrap_estimate(default_estimate(characterizer))
-        )
+        kwargs.setdefault("estimate_energy", plan.wrap_estimate())
     return CharacterizationRunner(characterizer, **kwargs)
 
 
@@ -302,3 +300,37 @@ class TestCharacterizeIntegration:
         legacy = characterize(runs)
         assert os.path.exists(ckpt)
         assert np.allclose(tolerant.model.coefficients, legacy.model.coefficients)
+
+
+class TestSinglePass:
+    def test_one_untraced_session_with_one_rtl_observer_per_sample(self, base_tasks):
+        from repro.obs import run_session
+        from repro.rtl.estimator import RtlEnergyObserver
+
+        calls = []
+
+        def counting_session(config, program, **kwargs):
+            calls.append((program.name, kwargs))
+            return run_session(config, program, **kwargs)
+
+        report = _runner(simulate=counting_session).run(base_tasks, fit=False)
+        assert report.ok
+        assert [name for name, _ in calls] == [task.name for task in base_tasks]
+        for _, kwargs in calls:
+            assert not kwargs.get("collect_trace", False)
+            observers = kwargs["observers"]
+            assert len(observers) == 1
+            assert isinstance(observers[0], RtlEnergyObserver)
+
+    def test_retry_reruns_the_single_pass_only(self, base_tasks):
+        plan = FaultPlan().fail_simulation("arith", times=1)
+        calls = []
+        session = plan.wrap_session()
+
+        def counting_session(config, program, **kwargs):
+            calls.append(program.name)
+            return session(config, program, **kwargs)
+
+        report = _runner(simulate=counting_session).run(base_tasks[:1], fit=False)
+        assert report.ok
+        assert calls == ["arith", "arith"]

@@ -203,3 +203,30 @@ class TestDataDependence:
         assert report_a.total == report_b.total
         live = RtlEnergyEstimator(generate_netlist(config)).estimate_program(quiet)[0]
         assert report_a.total != live.total
+
+
+class TestToggleTable:
+    def test_every_entry_equals_toggle_factor(self):
+        from repro.rtl.estimator import _TOGGLE_TABLE, _toggle_factor
+
+        assert len(_TOGGLE_TABLE) == 33
+        for distance in range(33):
+            assert _TOGGLE_TABLE[distance] == _toggle_factor(0, (1 << distance) - 1)
+
+    def test_indexing_matches_hamming_distance_on_any_operands(self):
+        import random
+
+        from repro.rtl.estimator import _TOGGLE_TABLE, _toggle_factor
+
+        rng = random.Random(7)
+        values = [0, 1, -1, 0xFFFFFFFF, 1 << 32, -(1 << 31), 0x7FFFFFFF]
+        values += [rng.randrange(-(1 << 40), 1 << 40) for _ in range(200)]
+        for previous, current in zip(values, values[1:] + values[:1]):
+            distance = ((previous ^ current) & 0xFFFFFFFF).bit_count()
+            assert _TOGGLE_TABLE[distance] == _toggle_factor(previous, current)
+
+    def test_frozen_mode_table_is_the_mean(self):
+        config = build_processor("plain")
+        estimator = RtlEnergyEstimator(generate_netlist(config), data_dependent=False)
+        assert set(estimator._toggle_table) == {(0.55 + 1.0) / 2.0}
+        assert len(estimator._toggle_table) == 33

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import Characterizer
-from repro.core.runner import default_estimate, default_simulate
+from repro.obs import run_session
 from repro.testing import FaultPlan, InjectedFault, corrupt_checkpoint, hanging_task
 from repro.xtcore import SimulationLimitExceeded, build_processor
 
@@ -57,13 +57,13 @@ class TestEnergyFaults:
         import math
 
         config, program = run_args
-        characterizer = Characterizer()
         plan = FaultPlan()
         getattr(plan, f"{kind}_energy")("victim", times=1)
-        estimate = plan.wrap_estimate(default_estimate(characterizer))
-        result = default_simulate(config, program, True, 1000)
-        first = estimate(config, result)
-        second = estimate(config, result)
+        estimate = plan.wrap_estimate()
+        observer = Characterizer()._estimator_for(config).observer()
+        run_session(config, program, observers=(observer,), max_instructions=1000)
+        first = estimate(config, observer.report)
+        second = estimate(config, observer.report)
         assert math.isnan(first) if kind == "nan" else math.isinf(first)
         assert math.isfinite(second)
         assert plan.injected == [("victim", kind)]
@@ -74,7 +74,7 @@ class TestHangingTask:
         task = hanging_task(max_instructions=500)
         config, program = task.builder()
         with pytest.raises(SimulationLimitExceeded):
-            default_simulate(config, program, False, task.max_instructions)
+            run_session(config, program, max_instructions=task.max_instructions)
 
 
 class TestCheckpointCorruption:

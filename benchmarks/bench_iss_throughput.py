@@ -8,10 +8,12 @@ engines:
   retained pre-compilation loop;
 * ``instrumented`` — the compiled dispatch loop with an external
   retire observer subscribed (full event protocol active);
-* ``compiled`` — the per-op compiled dispatch loop with no observers
-  and no trace (counter-folding fast path);
-* ``superop`` — block-level fused dispatch (one Python call per basic
-  block; what ``engine="auto"`` resolves to for uninstrumented runs).
+* ``compiled`` — the uninstrumented dispatch loop with an all-None
+  block table, i.e. per-op dispatch of the compiled closures with no
+  observers and no trace (counters folded at end of run);
+* ``superop`` — the same loop with fused superop blocks (one Python
+  call per basic block; what ``engine="auto"`` resolves to for
+  uninstrumented runs).
 
 A batch section additionally measures :func:`repro.xtcore.run_batch`
 (one program across N cache/clock variants in a single pass) against

@@ -52,6 +52,8 @@ from .program import AddressRange, Program
 TEXT_ORIGIN = 0x0000_0000
 DATA_ORIGIN = 0x0001_0000
 UTEXT_ORIGIN = 0x0008_0000
+#: One past the highest byte address: nothing may be placed at or beyond it.
+ADDRESS_LIMIT = 0x1_0000_0000
 
 _REGISTER_ALIASES = {"ra": 0, "sp": 1}
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
@@ -486,13 +488,32 @@ class _PassState:
         self.symbols[name] = value
         self._label_lines[name] = line_no
 
+    def _place(self, line_no: int, addr: int, size: int, what: str) -> None:
+        """Reject ``size`` bytes at ``addr`` that run past the address space."""
+        if addr + size > ADDRESS_LIMIT:
+            raise AsmError(
+                self.name,
+                line_no,
+                f"{what} at {addr:#x} extends past the end of the address space "
+                f"({ADDRESS_LIMIT - 1:#x})",
+            )
+
     def add_instruction(self, slot: _InsSlot) -> None:
+        if slot.addr % INSTRUCTION_BYTES:
+            raise AsmError(
+                self.name,
+                slot.line_no,
+                f"misaligned instruction address {slot.addr:#x} "
+                f"(instructions are {INSTRUCTION_BYTES}-byte aligned)",
+            )
+        self._place(slot.line_no, slot.addr, INSTRUCTION_BYTES, "instruction")
         self.instruction_slots.append(slot)
         if self.section == "utext":
             self._utext_spans.append((slot.addr, slot.addr + INSTRUCTION_BYTES))
         self._counters[self.section] += INSTRUCTION_BYTES
 
     def add_data(self, slot: _DataSlot, size: int) -> None:
+        self._place(slot.line_no, slot.addr, size, "data")
         self.data_slots.append(slot)
         self._counters[self.section] += size
 

@@ -14,13 +14,15 @@ models and the per-class cycle attribution.
 
 :func:`run_batch` exploits that split:
 
-1. **Record** — execute the program once (a fast-path dispatch loop with
-   no cache models), capturing the per-op retire/taken counters, the
-   interlock count, and the I-fetch / D-access address streams deduped
-   at the *finest* line granularity present in the batch.  A coarser
-   line cannot change where its own same-line transitions fall: equal
-   fine lines imply equal coarse lines, so every coarse-grain transition
-   is preserved in the fine-grain stream.
+1. **Record** — execute the program once through the shared dispatch
+   loop (:func:`repro.xtcore.iss._dispatch`, superop blocks fused at the
+   batch's finest line shifts) with list appends in place of the cache
+   models, capturing the per-op retire/taken counters, the interlock
+   count, and the I-fetch / D-access address streams deduped at the
+   *finest* line granularity present in the batch.  A coarser line
+   cannot change where its own same-line transitions fall: equal fine
+   lines imply equal coarse lines, so every coarse-grain transition is
+   preserved in the fine-grain stream.
 2. **Replay** — per config, push the recorded streams through that
    config's own :class:`~repro.xtcore.caches.SetAssociativeCache` pair
    (with the same same-line memo the dispatch loops use) to obtain its
@@ -41,12 +43,11 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from ..isa import INSTRUCTION_BYTES
 from .caches import SetAssociativeCache
-from .compiled import compilation_cache, describe_invalid_pc
+from .compiled import compilation_cache, compile_superops, line_shift
 from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, _extension_payload
-from .errors import SimulationError, SimulationLimitExceeded
-from .iss import EXIT_ADDRESS, SimulationResult, Simulator, _aggregate_stats
+from .errors import SimulationError
+from .iss import SimulationResult, Simulator, _aggregate_stats, _dispatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
@@ -86,105 +87,6 @@ def semantic_fingerprint(config: ProcessorConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _record_trajectory(
-    simulator: Simulator,
-    min_ishift: int,
-    min_dshift: int,
-    entry: int | None,
-):
-    """One fast-path execution with address-stream capture, no cache models.
-
-    Returns ``(state, counts, taken_counts, interlocks, ifetch, daccess)``
-    where the streams hold the first address of every same-line transition
-    at the ``min_*shift`` granularity — the exact access sequence any
-    batch member's cache model would see (coarser grains are subsequences
-    recovered by the replay memo).
-    """
-    executable = simulator.executable
-    ops = executable.ops
-    pc_map = executable.pc_to_index
-    counts = [0] * len(ops)
-    taken_counts = [0] * len(ops)
-    interlocks = 0
-    ifetch: list[int] = []
-    daccess: list[int] = []
-    ilast = -1
-    dlast = -1
-    prev_load_dests: tuple[int, ...] = ()
-    max_instructions = simulator.max_instructions
-    state = simulator._reset()
-    if entry is not None:
-        state.pc = entry
-    state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-    executed = 0
-    mem_base = 0
-
-    pc = state.pc
-    if pc != EXIT_ADDRESS:
-        idx = pc_map.get(pc, -1)
-        if idx < 0:
-            raise SimulationError(
-                describe_invalid_pc(executable.program_name, pc, executable, None)
-            )
-        while True:
-            if executed >= max_instructions:
-                raise SimulationLimitExceeded(
-                    f"{executable.program_name}: "
-                    f"exceeded {max_instructions} instructions"
-                )
-            executed += 1
-            op = ops[idx]
-            addr = op[10]
-            if op[6]:  # cached fetch: record the line transition
-                line = addr >> min_ishift
-                if line != ilast:
-                    ilast = line
-                    ifetch.append(addr)
-            if prev_load_dests:
-                for src in op[2]:
-                    if src in prev_load_dests:
-                        interlocks += 1
-                        break
-            if op[5]:  # memory op: base register read precedes execution
-                mem_base = state_get(op[3])
-            state.pc = addr
-            counts[idx] += 1
-            next_pc = op[0](state, op[1])
-            if op[5]:
-                mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                line = mem_addr >> min_dshift
-                if line != dlast:
-                    dlast = line
-                    daccess.append(mem_addr)
-            prev_load_dests = op[8]
-            if next_pc is None:
-                if state.halted:
-                    state.pc = addr + INSTRUCTION_BYTES
-                    break
-                idx = op[9]
-                if idx >= 0:
-                    continue
-                pc = addr + INSTRUCTION_BYTES
-            else:
-                taken_counts[idx] += 1
-                if state.halted:
-                    state.pc = next_pc
-                    break
-                if next_pc == EXIT_ADDRESS:
-                    state.pc = EXIT_ADDRESS
-                    break
-                idx = pc_map.get(next_pc, -1)
-                if idx >= 0:
-                    continue
-                pc = next_pc
-            state.pc = pc
-            raise SimulationError(
-                describe_invalid_pc(executable.program_name, pc, executable, addr)
-            )
-
-    return state, counts, taken_counts, interlocks, ifetch, daccess
-
-
 def _replay_stream(stream: list[int], cache: SetAssociativeCache) -> int:
     """Misses when ``cache`` sees ``stream``, with the same-line memo applied."""
     access = cache.access
@@ -213,10 +115,11 @@ def run_batch(
     :func:`semantic_fingerprint`), or :class:`SimulationError` is raised
     before anything executes.  Results are ordered like ``configs`` and
     bitwise identical — stats and final state — to running each config
-    individually through the fast dispatch path; the final
-    :class:`~repro.isa.MachineState` object is shared across all results.
-    Execution faults (wild jumps, budget expiry, semantics errors) are
-    trajectory properties, so they raise once for the whole batch.
+    individually; the final :class:`~repro.isa.MachineState` object is
+    shared across all results.  Execution faults (wild jumps, budget
+    expiry, semantics errors) are trajectory properties, so they raise
+    once for the whole batch, exactly as a solo ``superop`` run raises
+    them.
     """
     if not configs:
         return []
@@ -227,17 +130,22 @@ def run_batch(
             f"partitions; run_batch requires one (group by semantic_fingerprint)"
         )
     cache = compilation_cache()
-    lead = Simulator(
-        configs[0], program, max_instructions=max_instructions, engine="compiled"
-    )
-    min_ishift = min(
-        config.icache.line_bytes.bit_length() - 1 for config in configs
-    )
-    min_dshift = min(
-        config.dcache.line_bytes.bit_length() - 1 for config in configs
-    )
-    state, counts, taken_counts, interlocks, ifetch, daccess = _record_trajectory(
-        lead, min_ishift, min_dshift, entry
+    lead = Simulator(configs[0], program)
+    state = lead._reset(entry)
+    min_ishift = min(line_shift(config.icache) for config in configs)
+    min_dshift = min(line_shift(config.dcache) for config in configs)
+    superops = compile_superops(lead.executable, min_ishift, min_dshift)
+    ifetch: list[int] = []
+    daccess: list[int] = []
+    counts, taken_counts, interlocks, _, _ = _dispatch(
+        lead.executable,
+        superops.block_at,
+        state,
+        max_instructions,
+        ifetch.append,
+        daccess.append,
+        min_ishift,
+        min_dshift,
     )
 
     results: list[SimulationResult] = []

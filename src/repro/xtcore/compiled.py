@@ -38,7 +38,7 @@ from ..isa.bits import (
     popcount,
     rotate_left,
     rotate_right,
-    sign_extend,
+    to_signed,
 )
 from ..isa.classes import BASE_ENERGY_CLASSES
 from ..isa.state import SparseMemory
@@ -141,564 +141,284 @@ class ExecutableProgram:
 
 
 # ---------------------------------------------------------------------------
-# Compile-time semantics specialization
+# Base-ISA semantics: one source template per mnemonic
 # ---------------------------------------------------------------------------
 #
 # The generic semantics callables go through ``ctx.get``/``ctx.set`` (a
 # bounds check + method call per register touch), re-probe ``ins``
 # attributes per retire, and call ``truncate``/``to_signed`` helpers.
-# All of that is static once the instruction is known: register indices
-# can be bounds-checked *at compile time* (skipping specialization when
-# one is out of range, so the generic runtime error is preserved),
-# immediates can be pre-masked, and loads/stores can take a single-page
-# fast path through the sparse memory.  Each emitter below produces a
-# closure that is observationally identical to the generic callable —
-# same register/memory mutations, same return value — just with the
-# per-retire overhead folded away.  The differential harness
-# (tests/integration/test_dispatch_differential.py) pins that claim.
+# All of that is static once the instruction is known, so every base
+# mnemonic has one Python source template below with these placeholders:
 #
-# Unspecialized mnemonics (TIE customs, divides, ``break``) fall back to
-# ``definition.semantics`` unchanged.
+# * ``{d}``/``{s}``/``{t}`` — the ``rd``/``rs``/``rt`` register operands,
+#   bounds-checked at compile time (an out-of-range index keeps the
+#   generic callable, so the generic runtime error is preserved);
+# * ``{k}`` — the mnemonic's constant, folded from the instruction at
+#   compile time (pre-masked immediate, link address, compare value);
+# * ``{j}`` — the branch/jump target.
+#
+# A template reads and writes ``regs`` (loads and stores also the sparse
+# memory's ``pages``, with a single-page fast path) and ``return``s the
+# redirected pc, if any.  It is used two ways: a per-op closure binds the
+# operands as closure variables (:func:`_factory` generates one closure
+# factory per mnemonic, once per process), and a fused superop block
+# inlines it with the operands as literals (:func:`_fuse_block`).  Both
+# are observationally identical to the generic callable — same
+# register/memory mutations, same return value — which the differential
+# harness (tests/integration/test_dispatch_differential.py) pins.
+#
+# Mnemonics with no template (TIE customs, divides, ``break``) fall back
+# to ``definition.semantics`` unchanged.
 
 _M = 0xFFFFFFFF
-_SIGN_BIT = 0x80000000
-_TWO32 = 0x100000000
 _PAGE_BITS = SparseMemory.PAGE_BITS
 _PAGE_SIZE = SparseMemory.PAGE_SIZE
-_PAGE_MASK = _PAGE_SIZE - 1
 
+#: ``a`` / ``b`` <- the signed views of ``rs`` / ``rt``.
+_SIGNED_A = "a = regs[{s}]\nif a & 2147483648: a -= 4294967296\n"
+_SIGNED_AB = _SIGNED_A + "b = regs[{t}]\nif b & 2147483648: b -= 4294967296\n"
 
-def _regs_ok(num_regs: int, *regs: Optional[int]) -> bool:
-    for reg in regs:
-        if reg is None or reg < 0 or reg >= num_regs:
-            return False
-    return True
 
+def _alu(expr: str) -> str:
+    """rd <- expr, truncated to 32 bits."""
+    return "regs[{d}] = (" + expr + ") & 4294967295"
 
-def _r3(fn):
-    """rd <- fn(rs, rt) & M  (unsigned-operand R3 ops)."""
 
-    def emit(ins, addr, num_regs):
-        rd, rs, rt = ins.rd, ins.rs, ins.rt
-        if not _regs_ok(num_regs, rd, rs, rt):
-            return None
+def _sext(bits: int) -> str:
+    return (
+        f"v = regs[{{s}}] & {(1 << bits) - 1}\n"
+        f"regs[{{d}}] = (v | {(_M >> bits) << bits}) if v & {1 << (bits - 1)} else v"
+    )
 
-        def sem(state, _ins):
-            regs = state.regs
-            regs[rd] = fn(regs[rs], regs[rt]) & _M
 
-        return sem
+def _load(size: int, signed: bool) -> str:
+    bits = size * 8
+    extend = f"if v & {1 << (bits - 1)}: v |= {(_M >> bits) << bits}\n" if signed else ""
+    return (
+        "a = (regs[{s}] + {k}) & 4294967295\n"
+        f"o = a & {_PAGE_SIZE - 1}\n"
+        f"if o <= {_PAGE_SIZE - size}:\n"
+        f"    p = pages.get(a >> {_PAGE_BITS})\n"
+        f"    v = 0 if p is None else int.from_bytes(p[o:o + {size}], 'little')\n"
+        "else:  # straddles a page boundary: per-byte generic read\n"
+        f"    v = state.memory.read(a, {size})\n"
+        f"{extend}"
+        "regs[{t}] = v"
+    )
 
-    return emit
 
+def _store(size: int) -> str:
+    mask = (1 << (size * 8)) - 1
+    return (
+        "a = (regs[{s}] + {k}) & 4294967295\n"
+        f"o = a & {_PAGE_SIZE - 1}\n"
+        f"if o <= {_PAGE_SIZE - size}:\n"
+        f"    p = pages.get(a >> {_PAGE_BITS})\n"
+        "    if p is None:\n"
+        f"        p = pages[a >> {_PAGE_BITS}] = bytearray({_PAGE_SIZE})\n"
+        f"    p[o:o + {size}] = (regs[{{t}}] & {mask}).to_bytes({size}, 'little')\n"
+        "else:  # straddles a page boundary: per-byte generic write\n"
+        f"    state.memory.write(a, regs[{{t}}], {size})"
+    )
 
-def _r3_signed(fn):
-    """rd <- fn(signed rs, signed rt) & M."""
 
-    def emit(ins, addr, num_regs):
-        rd, rs, rt = ins.rd, ins.rs, ins.rt
-        if not _regs_ok(num_regs, rd, rs, rt):
-            return None
+def _fold_word(ins, addr: int) -> int:
+    return (ins.imm or 0) & _M
 
-        def sem(state, _ins):
-            regs = state.regs
-            a = regs[rs]
-            b = regs[rt]
-            if a & _SIGN_BIT:
-                a -= _TWO32
-            if b & _SIGN_BIT:
-                b -= _TWO32
-            regs[rd] = fn(a, b) & _M
 
-        return sem
+def _fold_uimm12(ins, addr: int) -> int:
+    return ins.imm & 0xFFF
 
-    return emit
 
+def _fold_shift(ins, addr: int) -> int:
+    return ins.imm & 31
 
-def _r2(fn):
-    """rd <- fn(rs) & M."""
 
-    def emit(ins, addr, num_regs):
-        rd, rs = ins.rd, ins.rs
-        if not _regs_ok(num_regs, rd, rs):
-            return None
-
-        def sem(state, _ins):
-            regs = state.regs
-            regs[rd] = fn(regs[rs]) & _M
-
-        return sem
-
-    return emit
-
-
-def _cond_move(test):
-    """rd <- rs when test(rt-value) holds (MOVEQZ family)."""
-
-    def emit(ins, addr, num_regs):
-        rd, rs, rt = ins.rd, ins.rs, ins.rt
-        if not _regs_ok(num_regs, rd, rs, rt):
-            return None
-
-        def sem(state, _ins):
-            regs = state.regs
-            if test(regs[rt]):
-                regs[rd] = regs[rs]
-
-        return sem
-
-    return emit
-
-
-def _imm_op(fold, fn):
-    """rd <- fn(rs, fold(imm)) & M — immediate pre-masked at compile time."""
-
-    def emit(ins, addr, num_regs):
-        rd, rs = ins.rd, ins.rs
-        if not _regs_ok(num_regs, rd, rs):
-            return None
-        k = fold(ins.imm)
-
-        def sem(state, _ins):
-            regs = state.regs
-            regs[rd] = fn(regs[rs], k) & _M
-
-        return sem
-
-    return emit
-
-
-def _load_emitter(size, signed):
-    ext_bits = size * 8
-    sign_bit = 1 << (ext_bits - 1)
-    ext_mask = (_M >> ext_bits) << ext_bits  # high bits set on sign extension
-    in_page_limit = _PAGE_SIZE - size
-
-    def emit(ins, addr, num_regs):
-        rt, rs = ins.rt, ins.rs
-        if not _regs_ok(num_regs, rt, rs):
-            return None
-        imm = (ins.imm or 0) & _M
-
-        def sem(state, _ins):
-            regs = state.regs
-            mem_addr = (regs[rs] + imm) & _M
-            offset = mem_addr & _PAGE_MASK
-            if offset <= in_page_limit:
-                page = state.memory._pages.get(mem_addr >> _PAGE_BITS)
-                value = (
-                    0
-                    if page is None
-                    else int.from_bytes(page[offset : offset + size], "little")
-                )
-            else:  # straddles a page boundary: per-byte generic read
-                value = state.memory.read(mem_addr, size)
-            if signed and value & sign_bit:
-                value |= ext_mask
-            regs[rt] = value
-
-        return sem
-
-    return emit
-
-
-def _store_emitter(size):
-    in_page_limit = _PAGE_SIZE - size
-    value_mask = (1 << (size * 8)) - 1
-
-    def emit(ins, addr, num_regs):
-        rt, rs = ins.rt, ins.rs
-        if not _regs_ok(num_regs, rt, rs):
-            return None
-        imm = (ins.imm or 0) & _M
-
-        def sem(state, _ins):
-            regs = state.regs
-            mem_addr = (regs[rs] + imm) & _M
-            offset = mem_addr & _PAGE_MASK
-            if offset <= in_page_limit:
-                pages = state.memory._pages
-                index = mem_addr >> _PAGE_BITS
-                page = pages.get(index)
-                if page is None:
-                    page = bytearray(_PAGE_SIZE)
-                    pages[index] = page
-                page[offset : offset + size] = (regs[rt] & value_mask).to_bytes(
-                    size, "little"
-                )
-            else:  # straddles a page boundary: per-byte generic write
-                state.memory.write(mem_addr, regs[rt], size)
-
-        return sem
-
-    return emit
-
-
-def _branch2(test):
-    """Taken target (imm) when test(rs-value, rt-value) holds."""
-
-    def emit(ins, addr, num_regs):
-        rs, rt = ins.rs, ins.rt
-        if not _regs_ok(num_regs, rs, rt):
-            return None
-        target = ins.imm
-
-        def sem(state, _ins):
-            regs = state.regs
-            return target if test(regs[rs], regs[rt]) else None
-
-        return sem
-
-    return emit
-
-
-def _branch2_signed(test):
-    def emit(ins, addr, num_regs):
-        rs, rt = ins.rs, ins.rt
-        if not _regs_ok(num_regs, rs, rt):
-            return None
-        target = ins.imm
-
-        def sem(state, _ins):
-            regs = state.regs
-            a = regs[rs]
-            b = regs[rt]
-            if a & _SIGN_BIT:
-                a -= _TWO32
-            if b & _SIGN_BIT:
-                b -= _TWO32
-            return target if test(a, b) else None
-
-        return sem
-
-    return emit
-
-
-def _branch1(test):
-    """Taken target when test(rs-value) holds (unsigned/sign-bit forms)."""
-
-    def emit(ins, addr, num_regs):
-        rs = ins.rs
-        if not _regs_ok(num_regs, rs):
-            return None
-        target = ins.imm
-
-        def sem(state, _ins):
-            return target if test(state.regs[rs]) else None
-
-        return sem
-
-    return emit
-
-
-def _branch_imm(test):
-    """BI compares: rs against the signed immediate folded into ``rt``."""
-
-    def emit(ins, addr, num_regs):
-        rs = ins.rs
-        if not _regs_ok(num_regs, rs):
-            return None
-        target = ins.imm
-        b = ins.rt - _TWO32 if ins.rt & _SIGN_BIT else ins.rt
-
-        def sem(state, _ins):
-            a = state.regs[rs]
-            if a & _SIGN_BIT:
-                a -= _TWO32
-            return target if test(a, b) else None
-
-        return sem
-
-    return emit
-
-
-def _branch_bit(want_set):
-    def emit(ins, addr, num_regs):
-        rs = ins.rs
-        if not _regs_ok(num_regs, rs):
-            return None
-        target = ins.imm
-        shift = ins.rt & 31
-
-        def sem(state, _ins):
-            taken = ((state.regs[rs] >> shift) & 1) == want_set
-            return target if taken else None
-
-        return sem
-
-    return emit
-
-
-def _emit_movi(ins, addr, num_regs):
-    rd = ins.rd
-    if not _regs_ok(num_regs, rd):
-        return None
-    value = ins.imm & _M
-
-    def sem(state, _ins):
-        state.regs[rd] = value
-
-    return sem
-
-
-def _emit_movhi(ins, addr, num_regs):
-    rd = ins.rd
-    if not _regs_ok(num_regs, rd):
-        return None
-    value = ((ins.imm & 0x3FFFF) << 12) & _M
-
-    def sem(state, _ins):
-        state.regs[rd] = value
-
-    return sem
-
-
-def _emit_j(ins, addr, num_regs):
-    target = ins.imm
-
-    def sem(state, _ins):
-        return target
-
-    return sem
-
-
-def _emit_jx(ins, addr, num_regs):
-    rs = ins.rs
-    if not _regs_ok(num_regs, rs):
-        return None
-
-    def sem(state, _ins):
-        return state.regs[rs]
-
-    return sem
-
-
-def _emit_call(ins, addr, num_regs):
+def _fold_link(ins, addr: int) -> int:
     # ``ctx.pc`` equals the instruction's own address when semantics run,
     # so the link value is a compile-time constant.
-    target = ins.imm
-    link = (addr + INSTRUCTION_BYTES) & _M
-
-    def sem(state, _ins):
-        state.regs[0] = link
-        return target
-
-    return sem
+    return (addr + INSTRUCTION_BYTES) & _M
 
 
-def _emit_callx(ins, addr, num_regs):
-    rs = ins.rs
-    if not _regs_ok(num_regs, rs):
-        return None
-    link = (addr + INSTRUCTION_BYTES) & _M
-
-    def sem(state, _ins):
-        target = state.regs[rs]  # read before the link write (rs may be a0)
-        state.regs[0] = link
-        return target
-
-    return sem
+def _fold_rt_signed(ins, addr: int) -> int:
+    # BI compares carry their signed immediate in ``rt`` (the assembler
+    # stores it as written, so it may be negative).
+    return to_signed(ins.rt)
 
 
-def _emit_ret(ins, addr, num_regs):
-    def sem(state, _ins):
-        return state.regs[0]
-
-    return sem
-
-
-def _emit_nop(ins, addr, num_regs):
-    def sem(state, _ins):
-        return None
-
-    return sem
-
-
-def _emit_halt(ins, addr, num_regs):
-    def sem(state, _ins):
-        state.halted = True
-
-    return sem
-
-
-def _emit_mulh(signed):
-    def emit(ins, addr, num_regs):
-        rd, rs, rt = ins.rd, ins.rs, ins.rt
-        if not _regs_ok(num_regs, rd, rs, rt):
-            return None
-
-        def sem(state, _ins):
-            regs = state.regs
-            a = regs[rs]
-            b = regs[rt]
-            if signed:
-                if a & _SIGN_BIT:
-                    a -= _TWO32
-                if b & _SIGN_BIT:
-                    b -= _TWO32
-            regs[rd] = ((a * b) >> 32) & _M
-
-        return sem
-
-    return emit
-
-
-def _emit_abs(ins, addr, num_regs):
-    rd, rs = ins.rd, ins.rs
-    if not _regs_ok(num_regs, rd, rs):
-        return None
-
-    def sem(state, _ins):
-        regs = state.regs
-        a = regs[rs]
-        if a & _SIGN_BIT:
-            a = _TWO32 - a  # |signed(a)| for the negative half, mod 2^32
-        regs[rd] = a & _M
-
-    return sem
-
-
-def _emit_slti(ins, addr, num_regs):
-    rd, rs = ins.rd, ins.rs
-    if not _regs_ok(num_regs, rd, rs):
-        return None
-    k = ins.imm
-
-    def sem(state, _ins):
-        a = state.regs[rs]
-        if a & _SIGN_BIT:
-            a -= _TWO32
-        state.regs[rd] = 1 if a < k else 0
-
-    return sem
-
-
-def _emit_sltiu(ins, addr, num_regs):
-    rd, rs = ins.rd, ins.rs
-    if not _regs_ok(num_regs, rd, rs):
-        return None
-    k = ins.imm & _M
-
-    def sem(state, _ins):
-        state.regs[rd] = 1 if state.regs[rs] < k else 0
-
-    return sem
-
-
-#: mnemonic -> emitter(ins, addr, num_regs) -> specialized callable or None.
-_EMITTERS = {
+#: mnemonic -> (source template, constant fold ``(ins, addr) -> {k}`` or None).
+_TEMPLATES = {
     # R3 unsigned arithmetic/logic
-    "add": _r3(lambda a, b: a + b),
-    "sub": _r3(lambda a, b: a - b),
-    "and": _r3(lambda a, b: a & b),
-    "or": _r3(lambda a, b: a | b),
-    "xor": _r3(lambda a, b: a ^ b),
-    "nor": _r3(lambda a, b: ~(a | b)),
-    "andn": _r3(lambda a, b: a & ~b),
-    "orn": _r3(lambda a, b: a | ~b),
-    "xnor": _r3(lambda a, b: ~(a ^ b)),
-    "addx2": _r3(lambda a, b: (a << 1) + b),
-    "addx4": _r3(lambda a, b: (a << 2) + b),
-    "addx8": _r3(lambda a, b: (a << 3) + b),
-    "subx2": _r3(lambda a, b: (a << 1) - b),
-    "subx4": _r3(lambda a, b: (a << 2) - b),
-    "sltu": _r3(lambda a, b: 1 if a < b else 0),
-    "minu": _r3(min),
-    "maxu": _r3(max),
-    "mull": _r3(lambda a, b: a * b),
+    "add": (_alu("regs[{s}] + regs[{t}]"), None),
+    "sub": (_alu("regs[{s}] - regs[{t}]"), None),
+    "and": (_alu("regs[{s}] & regs[{t}]"), None),
+    "or": (_alu("regs[{s}] | regs[{t}]"), None),
+    "xor": (_alu("regs[{s}] ^ regs[{t}]"), None),
+    "nor": (_alu("~(regs[{s}] | regs[{t}])"), None),
+    "andn": (_alu("regs[{s}] & ~regs[{t}]"), None),
+    "orn": (_alu("regs[{s}] | ~regs[{t}]"), None),
+    "xnor": (_alu("~(regs[{s}] ^ regs[{t}])"), None),
+    "addx2": (_alu("(regs[{s}] << 1) + regs[{t}]"), None),
+    "addx4": (_alu("(regs[{s}] << 2) + regs[{t}]"), None),
+    "addx8": (_alu("(regs[{s}] << 3) + regs[{t}]"), None),
+    "subx2": (_alu("(regs[{s}] << 1) - regs[{t}]"), None),
+    "subx4": (_alu("(regs[{s}] << 2) - regs[{t}]"), None),
+    "sltu": (_alu("1 if regs[{s}] < regs[{t}] else 0"), None),
+    "minu": (_alu("min(regs[{s}], regs[{t}])"), None),
+    "maxu": (_alu("max(regs[{s}], regs[{t}])"), None),
+    "mull": (_alu("regs[{s}] * regs[{t}]"), None),
+    "mulhu": (_alu("(regs[{s}] * regs[{t}]) >> 32"), None),
     # R3 signed
-    "slt": _r3_signed(lambda a, b: 1 if a < b else 0),
-    "min": _r3_signed(min),
-    "max": _r3_signed(max),
-    "mulh": _emit_mulh(signed=True),
-    "mulhu": _emit_mulh(signed=False),
+    "slt": (_SIGNED_AB + "regs[{d}] = 1 if a < b else 0", None),
+    "min": (_SIGNED_AB + _alu("min(a, b)"), None),
+    "max": (_SIGNED_AB + _alu("max(a, b)"), None),
+    "mulh": (_SIGNED_AB + _alu("(a * b) >> 32"), None),
     # register shifts
-    "sll": _r3(lambda a, b: a << (b & 31)),
-    "srl": _r3(lambda a, b: a >> (b & 31)),
-    "sra": _r3(lambda a, b: (a - _TWO32 if a & _SIGN_BIT else a) >> (b & 31)),
-    "rotl": _r3(lambda a, b: rotate_left(a, b & 31)),
-    "rotr": _r3(lambda a, b: rotate_right(a, b & 31)),
-    # R2 unary
-    "mov": _r2(lambda a: a),
-    "neg": _r2(lambda a: -a),
-    "not": _r2(lambda a: ~a),
-    "abs": _emit_abs,
-    "sext8": _r2(lambda a: sign_extend(a, 8)),
-    "sext16": _r2(lambda a: sign_extend(a, 16)),
-    "zext8": _r2(lambda a: a & 0xFF),
-    "zext16": _r2(lambda a: a & 0xFFFF),
-    "clz": _r2(count_leading_zeros),
-    "ctz": _r2(count_trailing_zeros),
-    "popc": _r2(popcount),
-    "bswap": _r2(byte_swap),
-    # conditional moves (rt tested as signed; sign bit is all that matters)
-    "moveqz": _cond_move(lambda t: t == 0),
-    "movnez": _cond_move(lambda t: t != 0),
-    "movltz": _cond_move(lambda t: t & _SIGN_BIT != 0),
-    "movgez": _cond_move(lambda t: t & _SIGN_BIT == 0),
+    "sll": (_alu("regs[{s}] << (regs[{t}] & 31)"), None),
+    "srl": (_alu("regs[{s}] >> (regs[{t}] & 31)"), None),
+    "sra": (_SIGNED_A + _alu("a >> (regs[{t}] & 31)"), None),
+    "rotl": (_alu("_rotl(regs[{s}], regs[{t}] & 31)"), None),
+    "rotr": (_alu("_rotr(regs[{s}], regs[{t}] & 31)"), None),
+    # R2 unary (abs: |signed(a)| for the negative half, mod 2^32)
+    "mov": (_alu("regs[{s}]"), None),
+    "neg": (_alu("-regs[{s}]"), None),
+    "not": (_alu("~regs[{s}]"), None),
+    "abs": ("a = regs[{s}]\nif a & 2147483648: a = 4294967296 - a\n" + _alu("a"), None),
+    "sext8": (_sext(8), None),
+    "sext16": (_sext(16), None),
+    "zext8": (_alu("regs[{s}] & 255"), None),
+    "zext16": (_alu("regs[{s}] & 65535"), None),
+    "clz": (_alu("_clz(regs[{s}])"), None),
+    "ctz": (_alu("_ctz(regs[{s}])"), None),
+    "popc": (_alu("_popc(regs[{s}])"), None),
+    "bswap": (_alu("_bswap(regs[{s}])"), None),
+    # conditional moves (rt tested as signed; the sign bit is all that matters)
+    "moveqz": ("if regs[{t}] == 0: regs[{d}] = regs[{s}]", None),
+    "movnez": ("if regs[{t}] != 0: regs[{d}] = regs[{s}]", None),
+    "movltz": ("if regs[{t}] & 2147483648: regs[{d}] = regs[{s}]", None),
+    "movgez": ("if not regs[{t}] & 2147483648: regs[{d}] = regs[{s}]", None),
     # immediates
-    "addi": _imm_op(lambda i: i & _M, lambda a, k: a + k),
-    "addmi": _imm_op(lambda i: (i & _M) << 8, lambda a, k: a + k),
-    "andi": _imm_op(lambda i: i & 0xFFF, lambda a, k: a & k),
-    "ori": _imm_op(lambda i: i & 0xFFF, lambda a, k: a | k),
-    "xori": _imm_op(lambda i: i & 0xFFF, lambda a, k: a ^ k),
-    "slti": _emit_slti,
-    "sltiu": _emit_sltiu,
-    "slli": _imm_op(lambda i: i & 31, lambda a, k: a << k),
-    "srli": _imm_op(lambda i: i & 31, lambda a, k: a >> k),
-    "srai": _imm_op(
-        lambda i: i & 31, lambda a, k: (a - _TWO32 if a & _SIGN_BIT else a) >> k
-    ),
-    "roli": _imm_op(lambda i: i & 31, rotate_left),
-    "rori": _imm_op(lambda i: i & 31, rotate_right),
-    "movi": _emit_movi,
-    "movhi": _emit_movhi,
+    "addi": (_alu("regs[{s}] + {k}"), _fold_word),
+    "addmi": (_alu("regs[{s}] + {k}"), lambda ins, addr: (ins.imm & _M) << 8),
+    "andi": (_alu("regs[{s}] & {k}"), _fold_uimm12),
+    "ori": (_alu("regs[{s}] | {k}"), _fold_uimm12),
+    "xori": (_alu("regs[{s}] ^ {k}"), _fold_uimm12),
+    "slti": (_SIGNED_A + "regs[{d}] = 1 if a < {k} else 0", lambda ins, addr: ins.imm),
+    "sltiu": ("regs[{d}] = 1 if regs[{s}] < {k} else 0", _fold_word),
+    "slli": (_alu("regs[{s}] << {k}"), _fold_shift),
+    "srli": (_alu("regs[{s}] >> {k}"), _fold_shift),
+    "srai": (_SIGNED_A + _alu("a >> {k}"), _fold_shift),
+    "roli": (_alu("_rotl(regs[{s}], {k})"), _fold_shift),
+    "rori": (_alu("_rotr(regs[{s}], {k})"), _fold_shift),
+    "movi": ("regs[{d}] = {k}", _fold_word),
+    "movhi": ("regs[{d}] = {k}", lambda ins, addr: ((ins.imm & 0x3FFFF) << 12) & _M),
     # memory
-    "l32i": _load_emitter(4, signed=False),
-    "l16ui": _load_emitter(2, signed=False),
-    "l16si": _load_emitter(2, signed=True),
-    "l8ui": _load_emitter(1, signed=False),
-    "l8si": _load_emitter(1, signed=True),
-    "s32i": _store_emitter(4),
-    "s16i": _store_emitter(2),
-    "s8i": _store_emitter(1),
-    # jumps / calls
-    "j": _emit_j,
-    "jx": _emit_jx,
-    "call": _emit_call,
-    "callx": _emit_callx,
-    "ret": _emit_ret,
+    "l32i": (_load(4, signed=False), _fold_word),
+    "l16ui": (_load(2, signed=False), _fold_word),
+    "l16si": (_load(2, signed=True), _fold_word),
+    "l8ui": (_load(1, signed=False), _fold_word),
+    "l8si": (_load(1, signed=True), _fold_word),
+    "s32i": (_store(4), _fold_word),
+    "s16i": (_store(2), _fold_word),
+    "s8i": (_store(1), _fold_word),
+    # jumps / calls (callx reads rs before the link write: rs may be a0)
+    "j": ("return {j}", None),
+    "jx": ("return regs[{s}]", None),
+    "call": ("regs[0] = {k}\nreturn {j}", _fold_link),
+    "callx": ("a = regs[{s}]\nregs[0] = {k}\nreturn a", _fold_link),
+    "ret": ("return regs[0]", None),
     # branches
-    "beq": _branch2(lambda a, b: a == b),
-    "bne": _branch2(lambda a, b: a != b),
-    "blt": _branch2_signed(lambda a, b: a < b),
-    "bge": _branch2_signed(lambda a, b: a >= b),
-    "bltu": _branch2(lambda a, b: a < b),
-    "bgeu": _branch2(lambda a, b: a >= b),
-    "beqz": _branch1(lambda a: a == 0),
-    "bnez": _branch1(lambda a: a != 0),
-    "bltz": _branch1(lambda a: a & _SIGN_BIT != 0),
-    "bgez": _branch1(lambda a: a & _SIGN_BIT == 0),
-    "beqi": _branch_imm(lambda a, b: a == b),
-    "bnei": _branch_imm(lambda a, b: a != b),
-    "blti": _branch_imm(lambda a, b: a < b),
-    "bgei": _branch_imm(lambda a, b: a >= b),
-    "bbs": _branch_bit(1),
-    "bbc": _branch_bit(0),
+    "beq": ("return {j} if regs[{s}] == regs[{t}] else None", None),
+    "bne": ("return {j} if regs[{s}] != regs[{t}] else None", None),
+    "blt": (_SIGNED_AB + "return {j} if a < b else None", None),
+    "bge": (_SIGNED_AB + "return {j} if a >= b else None", None),
+    "bltu": ("return {j} if regs[{s}] < regs[{t}] else None", None),
+    "bgeu": ("return {j} if regs[{s}] >= regs[{t}] else None", None),
+    "beqz": ("return {j} if regs[{s}] == 0 else None", None),
+    "bnez": ("return {j} if regs[{s}] != 0 else None", None),
+    "bltz": ("return {j} if regs[{s}] & 2147483648 else None", None),
+    "bgez": ("return None if regs[{s}] & 2147483648 else {j}", None),
+    "beqi": (_SIGNED_A + "return {j} if a == {k} else None", _fold_rt_signed),
+    "bnei": (_SIGNED_A + "return {j} if a != {k} else None", _fold_rt_signed),
+    "blti": (_SIGNED_A + "return {j} if a < {k} else None", _fold_rt_signed),
+    "bgei": (_SIGNED_A + "return {j} if a >= {k} else None", _fold_rt_signed),
+    "bbs": ("return {j} if (regs[{s}] >> {k}) & 1 else None", lambda ins, addr: ins.rt & 31),
+    "bbc": ("return None if (regs[{s}] >> {k}) & 1 else {j}", lambda ins, addr: ins.rt & 31),
     # system ("break" stays generic: it raises with runtime context)
-    "nop": _emit_nop,
-    "halt": _emit_halt,
+    "nop": ("pass", None),
+    "halt": ("state.halted = True", None),
 }
+
+#: Globals the templates call.
+_HELPERS = {
+    "_rotl": rotate_left,
+    "_rotr": rotate_right,
+    "_clz": count_leading_zeros,
+    "_ctz": count_trailing_zeros,
+    "_popc": popcount,
+    "_bswap": byte_swap,
+}
+
+#: mnemonic -> generated closure factory ``make(ins, addr, num_registers)``.
+_FACTORIES: dict = {}
+
+
+def _factory(mnemonic: str):
+    """Generate the per-op closure factory for ``mnemonic`` (once per process).
+
+    ``make(ins, addr, num_registers)`` bounds-checks the registers the
+    template names, folds ``{k}``, and returns the template as a closure
+    over those operands — or None when a register is out of range.
+    """
+    template, fold = _TEMPLATES[mnemonic]
+    lines = ["def make(ins, addr, num_registers):"]
+    for placeholder, field in (("d", "rd"), ("s", "rs"), ("t", "rt")):
+        if f"{{{placeholder}}}" in template:
+            lines += [
+                f"    {placeholder} = ins.{field}",
+                f"    if {placeholder} is None or {placeholder} < 0 "
+                f"or {placeholder} >= num_registers:",
+                "        return None",
+            ]
+    if fold is not None:
+        lines.append("    k = _fold(ins, addr)")
+    if "{j}" in template:
+        lines.append("    j = ins.imm")
+    body = template.format(d="d", s="s", t="t", k="k", j="j")
+    if "pages" in body:
+        body = "pages = state.memory._pages\n" + body
+    if "regs" in body:
+        body = "regs = state.regs\n" + body
+    lines += [
+        "    def sem(state, _ins):",
+        "        " + body.replace("\n", "\n        "),
+        "    return sem",
+    ]
+    namespace = dict(_HELPERS, _fold=fold)
+    exec(compile("\n".join(lines), f"<semantics {mnemonic}>", "exec"), namespace)
+    factory = _FACTORIES[mnemonic] = namespace["make"]
+    return factory
 
 
 def _specialize(definition, ins, addr: int, num_registers: int):
-    """A specialized semantics closure for this op, or None to use the generic."""
+    """A template closure for this op, or None to use the generic semantics."""
     if definition.iclass is InstructionClass.CUSTOM:
         return None
-    emitter = _EMITTERS.get(definition.mnemonic)
-    if emitter is None:
-        return None
-    return emitter(ins, addr, num_registers)
+    make = _FACTORIES.get(definition.mnemonic)
+    if make is None:
+        if definition.mnemonic not in _TEMPLATES:
+            return None
+        make = _factory(definition.mnemonic)
+    return make(ins, addr, num_registers)
+
+
+def _inline(op: tuple) -> str:
+    """The op's template with its operands as literals (fused blocks)."""
+    template, fold = _TEMPLATES[op[OP_MNEMONIC]]
+    ins = op[OP_INS]
+    return template.format(
+        d=ins.rd, s=ins.rs, t=ins.rt, k=fold(ins, op[OP_ADDR]) if fold else None, j=ins.imm
+    )
 
 
 def compile_program(config: "ProcessorConfig", program: "Program") -> ExecutableProgram:
@@ -803,32 +523,35 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
 # Superop lowering: fusing basic blocks into single-dispatch closures
 # ---------------------------------------------------------------------------
 #
-# The compiled fast path still pays one Python dispatch iteration per
-# retired instruction: budget check, op-tuple load, I-cache memo,
-# interlock scan, pc bookkeeping, successor resolution.  For a run of
-# *interior* ops (see OP_INTERIOR) every one of those outcomes is a
-# compile-time constant: the run retires exactly ``length`` instructions,
-# touches a fixed I-line sequence, stalls a fixed number of internal
-# interlocks and falls through to a fixed successor.  compile_superops
-# folds each maximal interior run into one block descriptor so the
-# dispatch loop in :mod:`repro.xtcore.iss` pays the bookkeeping once per
-# *block* instead of once per instruction — and anything that could make
-# the folding observable (faults, budget expiry mid-block, observers)
-# side-exits to the per-op path instead.
+# Per-op dispatch pays one Python loop iteration per retired instruction:
+# budget check, op-tuple load, I-cache memo, interlock scan, pc
+# bookkeeping, successor resolution.  For a run of *interior* ops (see
+# OP_INTERIOR) every one of those outcomes is a compile-time constant:
+# the run retires exactly ``length`` instructions, touches a fixed I-line
+# sequence, stalls a fixed number of internal interlocks and falls
+# through to a fixed successor.  compile_superops folds each maximal
+# interior run into one block descriptor so the dispatch loop in
+# :mod:`repro.xtcore.iss` pays the bookkeeping once per *block* instead
+# of once per instruction — and anything that could make the folding
+# observable (faults, budget expiry mid-block, mid-block landings) side-
+# exits to the per-op path instead.
 
 #: Field indices of one superop block descriptor (flat tuple, same
 #: rationale as the OP_* layout above).
-BLK_ID = 0  #: dense block index (keys the per-block execution counter)
-BLK_START = 1  #: op index of the first instruction in the block
-BLK_LEN = 2  #: number of instructions retired per block execution
-BLK_STEPS = 3  #: fused execution steps (see compile_superops)
-BLK_IFETCH = 4  #: ``(line, addr)`` per distinct I-line touched, in order
-BLK_FIRST_SRCS = 5  #: source regs of the first op (incoming-interlock check)
-BLK_INTERLOCKS = 6  #: load-use interlocks internal to the block (static)
-BLK_LOAD_DESTS = 7  #: load dests of the last op (outgoing-interlock state)
-BLK_NEXT_IDX = 8  #: op index the block falls through to, or -1
-BLK_LAST_ADDR = 9  #: byte address of the last instruction (diagnostics)
-BLK_FN = 10  #: fused closure ``fn(state, ic, dc, icache_access, dcache_access)``
+BLK_START = 0  #: op index of the first instruction (keys the block counter)
+BLK_LEN = 1  #: number of instructions retired per block execution
+BLK_IFETCH = 2  #: ``(line, addr)`` per distinct I-line touched, in order
+BLK_FIRST_SRCS = 3  #: source regs of the first op (incoming-interlock check)
+BLK_INTERLOCKS = 4  #: load-use interlocks internal to the block (static)
+BLK_LOAD_DESTS = 5  #: load dests of the last op (outgoing-interlock state)
+BLK_NEXT_IDX = 6  #: op index the block falls through to, or -1
+BLK_LAST_ADDR = 7  #: byte address of the last instruction (diagnostics)
+BLK_FN = 8  #: fused closure ``fn(state, ic, dc, icache_access, dcache_access)``
+
+
+def line_shift(cache) -> int:
+    """``addr >> line_shift(cache)`` is the line of ``addr`` (a CacheConfig)."""
+    return cache.line_bytes.bit_length() - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -838,9 +561,9 @@ class SuperopProgram:
     ``block_at[i]`` is the block descriptor whose first op is ``ops[i]``
     (or None when op ``i`` does not lead a block), so the dispatch loop
     can probe block entry with one tuple index per control transfer.
-    Derived purely from the executable plus the config's cache line
-    sizes, all already pinned by the digest/fingerprint pair — immutable
-    and safely shared across runs and forked workers.
+    Derived purely from the executable plus the two cache line shifts it
+    was fused at — immutable and safely shared across runs and forked
+    workers.
     """
 
     program_digest: str
@@ -864,273 +587,61 @@ class SuperopProgram:
         )
 
 
-# Inline source templates for the superop block codegen.  Each template
-# reproduces its specializer closure's body exactly — same masks, same
-# signedness windows, same single-page memory fast path — so a fused
-# block is observationally identical to calling the per-op closures in
-# sequence (pinned by tests/integration/test_dispatch_differential.py).
-# Ops with no template (divides, TIE customs) stay as bound calls.
-
-_FUSE_R3 = {
-    "add": "regs[{s}] + regs[{t}]",
-    "sub": "regs[{s}] - regs[{t}]",
-    "and": "regs[{s}] & regs[{t}]",
-    "or": "regs[{s}] | regs[{t}]",
-    "xor": "regs[{s}] ^ regs[{t}]",
-    "nor": "~(regs[{s}] | regs[{t}])",
-    "andn": "regs[{s}] & ~regs[{t}]",
-    "orn": "regs[{s}] | ~regs[{t}]",
-    "xnor": "~(regs[{s}] ^ regs[{t}])",
-    "addx2": "(regs[{s}] << 1) + regs[{t}]",
-    "addx4": "(regs[{s}] << 2) + regs[{t}]",
-    "addx8": "(regs[{s}] << 3) + regs[{t}]",
-    "subx2": "(regs[{s}] << 1) - regs[{t}]",
-    "subx4": "(regs[{s}] << 2) - regs[{t}]",
-    "sltu": "1 if regs[{s}] < regs[{t}] else 0",
-    "minu": "min(regs[{s}], regs[{t}])",
-    "maxu": "max(regs[{s}], regs[{t}])",
-    "mull": "regs[{s}] * regs[{t}]",
-    "sll": "regs[{s}] << (regs[{t}] & 31)",
-    "srl": "regs[{s}] >> (regs[{t}] & 31)",
-    "rotl": "_rotl(regs[{s}], regs[{t}] & 31)",
-    "rotr": "_rotr(regs[{s}], regs[{t}] & 31)",
-}
-
-_FUSE_R2 = {
-    "mov": "regs[{s}]",
-    "neg": "-regs[{s}]",
-    "not": "~regs[{s}]",
-    "zext8": "regs[{s}] & 255",
-    "zext16": "regs[{s}] & 65535",
-    "clz": "_clz(regs[{s}])",
-    "ctz": "_ctz(regs[{s}])",
-    "popc": "_popc(regs[{s}])",
-    "bswap": "_bswap(regs[{s}])",
-}
-
-#: mnemonic -> (immediate fold, expression template) — folds match _EMITTERS.
-_FUSE_IMM = {
-    "addi": (lambda i: i & _M, "regs[{s}] + {k}"),
-    "addmi": (lambda i: (i & _M) << 8, "regs[{s}] + {k}"),
-    "andi": (lambda i: i & 0xFFF, "regs[{s}] & {k}"),
-    "ori": (lambda i: i & 0xFFF, "regs[{s}] | {k}"),
-    "xori": (lambda i: i & 0xFFF, "regs[{s}] ^ {k}"),
-    "slli": (lambda i: i & 31, "regs[{s}] << {k}"),
-    "srli": (lambda i: i & 31, "regs[{s}] >> {k}"),
-    "roli": (lambda i: i & 31, "_rotl(regs[{s}], {k})"),
-    "rori": (lambda i: i & 31, "_rotr(regs[{s}], {k})"),
-}
-
-#: signed compare/minmax forms: mnemonic -> result template over a/b temps.
-_FUSE_SIGNED_R3 = {
-    "slt": "1 if a{u} < b{u} else 0",
-    "min": "min(a{u}, b{u}) & 4294967295",
-    "max": "max(a{u}, b{u}) & 4294967295",
-}
-
-_FUSE_COND_MOVE = {
-    "moveqz": "regs[{t}] == 0",
-    "movnez": "regs[{t}] != 0",
-    "movltz": "regs[{t}] & 2147483648",
-    "movgez": "not regs[{t}] & 2147483648",
-}
-
-#: mnemonic -> (size, sign_extend, is_store) for the memory templates.
-_FUSE_MEM = {
-    "l32i": (4, False, False),
-    "l16ui": (2, False, False),
-    "l16si": (2, True, False),
-    "l8ui": (1, False, False),
-    "l8si": (1, True, False),
-    "s32i": (4, False, True),
-    "s16i": (2, False, True),
-    "s8i": (1, False, True),
-}
-
-
-def _fuse_op_lines(op: tuple, dshift: int) -> Optional[list]:
-    """Source statements executing this interior op inline, or None.
-
-    ``None`` means "no inline form" — the block codegen then binds the
-    op's (possibly specialized) semantics callable and emits a call.
-    Memory templates append the D-cache replay with the line shift
-    ``dshift`` folded in, mirroring the per-op dispatch order: address
-    from pre-op registers, semantics, then the cache model.
-    """
-    mnemonic = op[OP_MNEMONIC]
-    ins = op[OP_INS]
-    u = op[OP_ADDR]  # unique per op: byte addresses never collide
-    d, s, t = ins.rd, ins.rs, ins.rt
-
-    mem = _FUSE_MEM.get(mnemonic)
-    if mem is not None:
-        size, signed, is_store = mem
-        k = (ins.imm or 0) & _M
-        limit = _PAGE_SIZE - size
-        out = [
-            f"a{u} = (regs[{s}] + {k}) & 4294967295",
-            f"o{u} = a{u} & {_PAGE_MASK}",
-        ]
-        if is_store:
-            value_mask = (1 << (size * 8)) - 1
-            out += [
-                f"if o{u} <= {limit}:",
-                f"    p{u} = pages.get(a{u} >> {_PAGE_BITS})",
-                f"    if p{u} is None:",
-                f"        p{u} = bytearray({_PAGE_SIZE})",
-                f"        pages[a{u} >> {_PAGE_BITS}] = p{u}",
-                f"    p{u}[o{u}:o{u}+{size}] = "
-                f"(regs[{t}] & {value_mask}).to_bytes({size}, 'little')",
-                "else:",
-                f"    state.memory.write(a{u}, regs[{t}], {size})",
-            ]
-        else:
-            out += [
-                f"if o{u} <= {limit}:",
-                f"    p{u} = pages.get(a{u} >> {_PAGE_BITS})",
-                f"    v{u} = 0 if p{u} is None else "
-                f"int.from_bytes(p{u}[o{u}:o{u}+{size}], 'little')",
-                "else:",
-                f"    v{u} = state.memory.read(a{u}, {size})",
-            ]
-            if signed:
-                sign_bit = 1 << (size * 8 - 1)
-                ext_mask = (_M >> (size * 8)) << (size * 8)
-                out.append(f"if v{u} & {sign_bit}: v{u} |= {ext_mask}")
-            out.append(f"regs[{t}] = v{u}")
-        out += [
-            f"l{u} = a{u} >> {dshift}",
-            f"if l{u} != dc[0]:",
-            f"    dc[0] = l{u}",
-            f"    if not dcache_access(a{u}):",
-            "        dc[1] += 1",
-        ]
-        return out
-
-    expr = _FUSE_R3.get(mnemonic)
-    if expr is not None:
-        return [f"regs[{d}] = ({expr.format(s=s, t=t)}) & 4294967295"]
-    expr = _FUSE_R2.get(mnemonic)
-    if expr is not None:
-        return [f"regs[{d}] = ({expr.format(s=s)}) & 4294967295"]
-    imm_form = _FUSE_IMM.get(mnemonic)
-    if imm_form is not None:
-        fold, expr = imm_form
-        return [f"regs[{d}] = ({expr.format(s=s, k=fold(ins.imm))}) & 4294967295"]
-    signed_form = _FUSE_SIGNED_R3.get(mnemonic)
-    if signed_form is not None:
-        return [
-            f"a{u} = regs[{s}]",
-            f"b{u} = regs[{t}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"if b{u} & 2147483648: b{u} -= 4294967296",
-            f"regs[{d}] = {signed_form.format(u=u)}",
-        ]
-    cond = _FUSE_COND_MOVE.get(mnemonic)
-    if cond is not None:
-        return [f"if {cond.format(t=t)}: regs[{d}] = regs[{s}]"]
-    if mnemonic == "sra":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = (a{u} >> (regs[{t}] & 31)) & 4294967295",
-        ]
-    if mnemonic == "srai":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = (a{u} >> {ins.imm & 31}) & 4294967295",
-        ]
-    if mnemonic in ("mulh", "mulhu"):
-        out = [f"a{u} = regs[{s}]", f"b{u} = regs[{t}]"]
-        if mnemonic == "mulh":
-            out += [
-                f"if a{u} & 2147483648: a{u} -= 4294967296",
-                f"if b{u} & 2147483648: b{u} -= 4294967296",
-            ]
-        out.append(f"regs[{d}] = ((a{u} * b{u}) >> 32) & 4294967295")
-        return out
-    if mnemonic == "abs":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} = 4294967296 - a{u}",
-            f"regs[{d}] = a{u} & 4294967295",
-        ]
-    if mnemonic in ("sext8", "sext16"):
-        bits = 8 if mnemonic == "sext8" else 16
-        value_mask = (1 << bits) - 1
-        sign_bit = 1 << (bits - 1)
-        ext_mask = (_M >> bits) << bits
-        return [
-            f"v{u} = regs[{s}] & {value_mask}",
-            f"regs[{d}] = (v{u} | {ext_mask}) if v{u} & {sign_bit} else v{u}",
-        ]
-    if mnemonic == "slti":
-        return [
-            f"a{u} = regs[{s}]",
-            f"if a{u} & 2147483648: a{u} -= 4294967296",
-            f"regs[{d}] = 1 if a{u} < {ins.imm} else 0",
-        ]
-    if mnemonic == "sltiu":
-        return [f"regs[{d}] = 1 if regs[{s}] < {ins.imm & _M} else 0"]
-    if mnemonic == "movi":
-        return [f"regs[{d}] = {ins.imm & _M}"]
-    if mnemonic == "movhi":
-        return [f"regs[{d}] = {((ins.imm & 0x3FFFF) << 12) & _M}"]
-    return None
-
-
-def _fuse_block(
-    ops: tuple, start: int, end: int, ifetch: list, dshift: int
-):
+def _fuse_block(ops: tuple, start: int, end: int, ifetch: list, dshift: int):
     """Generate one fused closure executing ops ``start..end`` inline.
 
     Signature: ``fn(state, ic, dc, icache_access, dcache_access)`` where
     ``ic``/``dc`` are two-slot lists ``[last_line, misses]`` shared with
     the dispatch loop's per-op side-exit path, so the same-line memo
-    carries seamlessly across fused and per-op execution.
+    carries seamlessly across fused and per-op execution.  Each op runs
+    its semantics template inline; ops with no template (divides, TIE
+    customs) stay bound calls.  Memory ops append the D-cache replay with
+    ``dshift`` folded in, mirroring the per-op order: address from the
+    pre-op registers, semantics, then the cache model.
     """
-    namespace = {
-        "_rotl": rotate_left,
-        "_rotr": rotate_right,
-        "_clz": count_leading_zeros,
-        "_ctz": count_trailing_zeros,
-        "_popc": popcount,
-        "_bswap": byte_swap,
-    }
-    body = ["    regs = state.regs"]
+    namespace = dict(_HELPERS)
+    body = ["regs = state.regs"]
     if any(ops[i][OP_MEM] for i in range(start, end + 1)):
-        body.append("    pages = state.memory._pages")
+        body.append("pages = state.memory._pages")
     for line, fetch_addr in ifetch:
-        body += [
-            f"    if {line} != ic[0]:",
-            f"        ic[0] = {line}",
-            f"        if not icache_access({fetch_addr}):",
-            "            ic[1] += 1",
-        ]
+        body.append(
+            f"if {line} != ic[0]:\n"
+            f"    ic[0] = {line}\n"
+            f"    if not icache_access({fetch_addr}):\n"
+            "        ic[1] += 1"
+        )
     for i in range(start, end + 1):
         op = ops[i]
-        lines = _fuse_op_lines(op, dshift)
-        if lines is None:
+        if op[OP_CUSTOM_KIND] or op[OP_MNEMONIC] not in _TEMPLATES:
             namespace[f"_c{i}"] = op[OP_SEM]
             namespace[f"_i{i}"] = op[OP_INS]
-            lines = [f"_c{i}(state, _i{i})"]
-        body += ["    " + stmt for stmt in lines]
+            body.append(f"_c{i}(state, _i{i})")
+            continue
+        body.append(_inline(op))
+        if op[OP_MEM]:
+            body.append(
+                f"l = a >> {dshift}\n"
+                "if l != dc[0]:\n"
+                "    dc[0] = l\n"
+                "    if not dcache_access(a):\n"
+                "        dc[1] += 1"
+            )
     source = (
-        "def _superop(state, ic, dc, icache_access, dcache_access):\n"
-        + "\n".join(body)
+        "def _superop(state, ic, dc, icache_access, dcache_access):\n    "
+        + "\n".join(body).replace("\n", "\n    ")
     )
-    exec(
-        compile(source, f"<superop@{ops[start][OP_ADDR]:#x}>", "exec"),
-        namespace,
-    )
+    exec(compile(source, f"<superop@{ops[start][OP_ADDR]:#x}>", "exec"), namespace)
     return namespace["_superop"]
 
 
 def compile_superops(
-    executable: ExecutableProgram, config: "ProcessorConfig"
+    executable: ExecutableProgram, ishift: int, dshift: int
 ) -> SuperopProgram:
     """Fuse the executable's maximal interior runs into superop blocks.
+
+    ``ishift``/``dshift`` are the I/D line shifts the fused cache-memo
+    checks compare at (``line_shift`` of a config's caches for a solo
+    run, the finest of a batch's for :func:`repro.xtcore.run_batch`).
 
     Block leaders are the static control-flow join points: the program
     entry, every static branch/jump/call target, and the op after every
@@ -1140,12 +651,7 @@ def compile_superops(
 
     Each block folds, at compile time:
 
-    * **steps** — the semantics calls, with straight ALU runs packed into
-      one ``(0, ((sem, ins), ...))`` step and each memory op kept as a
-      ``(1, sem, ins, base_reg, imm)`` step so the dispatch loop can read
-      the base register before semantics clobber it and replay the
-      D-cache access after, exactly as the per-op path does;
-    * **ifetch** — the I-line transition sequence at this config's line
+    * **ifetch** — the I-line transition sequence at ``ishift``
       granularity: intra-block fetch addresses are strictly increasing,
       so consecutive same-line fetches collapse exactly like the per-op
       same-line memo (uncached ops never touch the I-cache and are
@@ -1156,8 +662,6 @@ def compile_superops(
     ops = executable.ops
     pc_map = executable.pc_to_index
     n = len(ops)
-    ishift = config.icache.line_bytes.bit_length() - 1
-    dshift = config.dcache.line_bytes.bit_length() - 1
 
     leaders = set()
     entry_idx = pc_map.get(executable.entry, -1)
@@ -1185,8 +689,6 @@ def compile_superops(
                 break
             end = fall
 
-        steps: list[tuple] = []
-        run: list[tuple] = []
         interlocks = 0
         ifetch: list[tuple[int, int]] = []
         last_line = -1
@@ -1201,21 +703,10 @@ def compile_superops(
                 dests = ops[i - 1][OP_LOAD_DESTS]
                 if any(src in dests for src in op[OP_SRCS]):
                     interlocks += 1
-            if op[OP_MEM]:
-                if run:
-                    steps.append((0, tuple(run)))
-                    run = []
-                steps.append((1, op[OP_SEM], op[OP_INS], op[OP_SRC0], op[OP_IMM]))
-            else:
-                run.append((op[OP_SEM], op[OP_INS]))
-        if run:
-            steps.append((0, tuple(run)))
 
         block = (
-            len(blocks),
             start,
             end - start + 1,
-            tuple(steps),
             tuple(ifetch),
             ops[start][OP_SRCS],
             interlocks,
@@ -1335,7 +826,8 @@ class CompilationCache:
         Pass ``executable`` when the per-op lowering is already in hand to
         skip the ops-tier probe; it must carry the same digest/fingerprint
         pair (the :class:`~repro.xtcore.iss.Simulator` constructor enforces
-        that before calling here).
+        that before calling here).  Blocks are fused at the config's own
+        I/D line shifts.
         """
         if executable is None:
             executable = self.get_or_compile(config, program)
@@ -1347,7 +839,9 @@ class CompilationCache:
                 self.superop_hits += 1
                 return cached
             self.superop_misses += 1
-            superops = compile_superops(executable, config)
+            superops = compile_superops(
+                executable, line_shift(config.icache), line_shift(config.dcache)
+            )
             self.superop_compilations += 1
             self._superops[key] = superops
             if len(self._superops) > self.maxsize:

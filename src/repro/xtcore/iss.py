@@ -21,28 +21,35 @@ Execution is a three-stage **compile → link → dispatch** pipeline: the
 program is lowered once against the processor config into an
 :class:`~repro.xtcore.compiled.ExecutableProgram` (memoized across runs
 by the :func:`~repro.xtcore.compiled.compilation_cache`), and
-:meth:`Simulator.run` dispatches over that IR with two specializations:
+:meth:`Simulator.run` dispatches over that IR through one of two loops:
 
-* the **instrumented path** runs whenever observers are registered or a
-  trace is requested: it populates one reused
+* :meth:`Simulator._run_instrumented` runs whenever a trace is requested
+  or an observer wants per-retire callbacks: it populates one reused
   :class:`~repro.obs.events.RetireEvent` per instruction and fans it out
   to the :class:`~repro.obs.protocol.SimObserver` chain, exactly as the
   streaming protocol documents;
-* the **fast path** runs when there is nothing to observe (the
-  characterize/DSE common case): no event objects, no operand tuples, no
-  callback dispatch — just semantics plus per-op retire counters.
+* :func:`_dispatch` runs everything else: no event objects, no operand
+  tuples, no callbacks — just semantics plus per-op retire counters.
+  Given a block table from
+  :func:`~repro.xtcore.compiled.compile_superops` it executes each fused
+  basic block in one call (the ``superop`` engine) and side-exits to
+  per-op dispatch where folding would be observable; given an all-None
+  table it is the per-op ``compiled`` engine.  :func:`repro.xtcore.run_batch`
+  records its shared trajectory through the same loop, with list appends
+  as the cache hooks.
 
-Both paths fold statistics the same way — per-op retire/taken counts and
+Both loops fold statistics the same way — per-op retire/taken counts and
 scalar event counters, aggregated into :class:`ExecutionStats` at run
-end — so their stats are identical by construction, and the differential
-suite pins both against the retained reference interpreter
+end by :func:`_aggregate_stats` — so their stats are identical by
+construction, and the differential suite pins every engine against the
+retained reference interpreter
 (:class:`repro.xtcore.interp.ReferenceSimulator`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..asm import Program
 from ..isa import INSTRUCTION_BYTES, MachineState
@@ -52,16 +59,6 @@ from ..obs.events import RetireEvent
 from ..obs.protocol import SimObserver
 from .caches import SetAssociativeCache
 from .compiled import (
-    BLK_FIRST_SRCS,
-    BLK_ID,
-    BLK_IFETCH,
-    BLK_INTERLOCKS,
-    BLK_LAST_ADDR,
-    BLK_LEN,
-    BLK_LOAD_DESTS,
-    BLK_NEXT_IDX,
-    BLK_START,
-    BLK_STEPS,
     ExecutableProgram,
     SuperopProgram,
     compilation_cache,
@@ -176,8 +173,8 @@ def _aggregate_stats(
     O(static ops) instead of O(dynamic instructions): every retire of one
     micro-op contributes the same class, issue cycles and bus attribution,
     so the per-retire sums collapse to ``count x per-op values`` — with
-    branches split by their taken count.  Both dispatch paths use this, so
-    fast-path stats equal instrumented-path stats by construction.
+    branches split by their taken count.  Both dispatch loops use this, so
+    uninstrumented stats equal instrumented stats by construction.
     """
     stats = ExecutionStats()
     class_cycles = stats.class_cycles
@@ -246,6 +243,157 @@ def _aggregate_stats(
     return stats
 
 
+def _dispatch(
+    executable: ExecutableProgram,
+    block_at: Sequence[Optional[tuple]],
+    state: MachineState,
+    max_instructions: int,
+    icache_access: Callable[[int], object],
+    dcache_access: Callable[[int], object],
+    ishift: int,
+    dshift: int,
+) -> tuple[list[int], list[int], int, int, int]:
+    """The uninstrumented dispatch loop: fused blocks, per-op side exits.
+
+    Runs ``state`` to completion over ``executable``.  Where
+    ``block_at[idx]`` holds a superop block (see
+    :func:`~repro.xtcore.compiled.compile_superops`) the whole block
+    retires in one call; everything else — block boundaries (branches,
+    jumps, system ops, customs), mid-block landings from dynamic jumps,
+    and blocks that would cross the instruction budget (so
+    :class:`SimulationLimitExceeded` raises at the exact instruction,
+    after any earlier fault) — walks per-op.  An all-None ``block_at``
+    is therefore pure per-op dispatch.
+
+    Each I-fetch / D-access whose line (``addr >> ishift`` /
+    ``addr >> dshift``) differs from the previous one of its kind calls
+    ``icache_access`` / ``dcache_access`` with the address: a repeat
+    access to the line just touched is a guaranteed MRU hit with no LRU
+    movement, so skipping the cache model changes no outcome.  A falsy
+    return counts a miss.  The blocks must have been fused at the same
+    shifts.
+
+    Returns ``(counts, taken_counts, interlocks, icache_misses,
+    dcache_misses)`` with per-op retire and taken counters.
+    """
+    ops = executable.ops
+    pc_map = executable.pc_to_index
+    counts = [0] * len(ops)
+    taken_counts = [0] * len(ops)
+    block_counts = [0] * len(ops)  # executions of the block led by op i
+    interlocks = 0
+    # Same-line memo + miss counters as two-slot lists so fused block
+    # closures and the per-op side-exit path mutate one shared state.
+    ic = [-1, 0]
+    dc = [-1, 0]
+    prev_load_dests: tuple[int, ...] = ()
+    # Register reads skip the bounds check when compilation proved every
+    # index in range (the out-of-range IndexError path is kept for
+    # programs where it did not).
+    state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
+    executed = 0
+    mem_base = 0
+
+    pc = state.pc
+    if pc != EXIT_ADDRESS:
+        idx = pc_map.get(pc, -1)
+        if idx < 0:
+            raise SimulationError(
+                describe_invalid_pc(executable.program_name, pc, executable, None)
+            )
+        while True:
+            block = block_at[idx]
+            if block is not None and executed + block[1] <= max_instructions:
+                # Fused fast path: the whole block retires in one dispatch
+                # — semantics, I-line memo and D-cache replays inlined into
+                # one generated closure, the remaining bookkeeping folded
+                # to block deltas (field order: compiled.BLK_*).
+                executed += block[1]
+                if prev_load_dests:
+                    for src in block[3]:
+                        if src in prev_load_dests:
+                            interlocks += 1
+                            break
+                interlocks += block[4]
+                block[8](state, ic, dc, icache_access, dcache_access)
+                block_counts[idx] += 1
+                prev_load_dests = block[5]
+                idx = block[6]
+                if idx >= 0:
+                    continue
+                # Fell off the end of the mapped address range.
+                addr = block[7]
+                pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
+                state.pc = pc
+                raise SimulationError(
+                    describe_invalid_pc(executable.program_name, pc, executable, addr)
+                )
+            # Per-op path (field order: compiled.OP_*).
+            if executed >= max_instructions:
+                raise SimulationLimitExceeded(
+                    f"{executable.program_name}: exceeded {max_instructions} instructions"
+                )
+            executed += 1
+            op = ops[idx]
+            addr = op[10]
+            if op[6]:  # cached fetch
+                line = addr >> ishift
+                if line != ic[0]:
+                    ic[0] = line
+                    if not icache_access(addr):
+                        ic[1] += 1
+            if prev_load_dests:
+                for src in op[2]:
+                    if src in prev_load_dests:
+                        interlocks += 1
+                        break
+            if op[5]:  # memory op: base register read precedes execution
+                mem_base = state_get(op[3])
+            state.pc = addr
+            counts[idx] += 1
+            next_pc = op[0](state, op[1])
+            if op[5]:
+                mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
+                line = mem_addr >> dshift
+                if line != dc[0]:
+                    dc[0] = line
+                    if not dcache_access(mem_addr):
+                        dc[1] += 1
+            prev_load_dests = op[8]
+            if next_pc is None:
+                if state.halted:
+                    state.pc = addr + INSTRUCTION_BYTES
+                    break
+                idx = op[9]
+                if idx >= 0:
+                    continue
+                pc = addr + INSTRUCTION_BYTES
+            else:
+                taken_counts[idx] += 1
+                if state.halted:
+                    state.pc = next_pc
+                    break
+                if next_pc == EXIT_ADDRESS:
+                    state.pc = EXIT_ADDRESS
+                    break
+                idx = pc_map.get(next_pc, -1)
+                if idx >= 0:
+                    continue
+                pc = next_pc
+            state.pc = pc
+            raise SimulationError(
+                describe_invalid_pc(executable.program_name, pc, executable, addr)
+            )
+
+    # Expand per-block execution counters into the per-op counts the
+    # aggregation contract expects (O(static ops), like aggregation).
+    for start, count in enumerate(block_counts):
+        if count:
+            for i in range(start, start + block_at[start][1]):
+                counts[i] += count
+    return counts, taken_counts, interlocks, ic[1], dc[1]
+
+
 class Simulator:
     """Executes one :class:`Program` on one :class:`ProcessorConfig`.
 
@@ -300,15 +448,27 @@ class Simulator:
         self.executable = executable
         self._superops: Optional[SuperopProgram] = None
 
-    def _reset(self) -> MachineState:
+    def _reset(self, entry: Optional[int] = None) -> MachineState:
         state = MachineState(self.config.num_registers)
         for addr, blob in self.program.data:
             state.memory.write_bytes(addr, blob)
         state.tie_state.update(self.config.state_inits)
         state.set(0, EXIT_ADDRESS)  # link register sentinel
         state.set(1, DEFAULT_STACK_TOP)
-        state.pc = self.program.entry
+        state.pc = self.program.entry if entry is None else entry
         return state
+
+    def _resolve(self) -> tuple[str, bool]:
+        """``(engine, per_retire)``: the engine, and whether it must fan out
+        per-retire callbacks (see :meth:`resolve_engine`)."""
+        engine = self.engine
+        if engine == "reference":
+            return engine, False
+        if self.collect_trace or any(
+            o.wants_retire or o.wants_events for o in self.observers
+        ):
+            return "compiled", True
+        return ("superop" if engine == "auto" else engine), False
 
     def resolve_engine(self) -> str:
         """The engine this simulator will actually dispatch through.
@@ -321,21 +481,11 @@ class Simulator:
         only need ``on_run_start``/``on_run_finish``) do not force the
         deopt — both fast engines bracket the run for them.
         """
-        engine = self.engine
-        if engine == "reference":
-            return engine
-        per_retire = self.collect_trace or any(
-            o.wants_retire or o.wants_events for o in self.observers
-        )
-        if per_retire:
-            return "compiled"
-        if engine == "auto":
-            return "superop"
-        return engine
+        return self._resolve()[0]
 
     def run(self, entry: Optional[int] = None) -> SimulationResult:
         """Simulate from ``entry`` (default: program entry) to completion."""
-        engine = self.resolve_engine()
+        engine, per_retire = self._resolve()
         if engine == "reference":
             from .interp import ReferenceSimulator
 
@@ -348,295 +498,48 @@ class Simulator:
             ).run(entry=entry)
             result.engine = "reference"
             return result
-        state = self._reset()
-        if entry is not None:
-            state.pc = entry
-        if self.collect_trace or any(
-            o.wants_retire or o.wants_events for o in self.observers
-        ):
+        state = self._reset(entry)
+        if per_retire:
             return self._run_instrumented(state)
-        if self.observers:
-            # Run-scoped observers only: bracket the fast engine with the
-            # start/finish callbacks the protocol guarantees.
-            for observer in self.observers:
-                observer.on_run_start(self.config, self.program)
-            result = (
-                self._run_superop(state)
-                if engine == "superop"
-                else self._run_fast(state)
-            )
-            for observer in self.observers:
-                observer.on_run_finish(result)
-            return result
+        # Run-scoped observers only (if any): bracket the uninstrumented
+        # loop with the start/finish callbacks the protocol guarantees.
+        for observer in self.observers:
+            observer.on_run_start(self.config, self.program)
+        config = self.config
+        executable = self.executable
         if engine == "superop":
-            return self._run_superop(state)
-        return self._run_fast(state)
-
-    # ------------------------------------------------------------------
-    # fast path: no observers, no trace — counters only
-    # ------------------------------------------------------------------
-
-    def _run_fast(self, state: MachineState) -> SimulationResult:
-        executable = self.executable
-        ops = executable.ops
-        pc_map = executable.pc_to_index
-        counts = [0] * len(ops)
-        taken_counts = [0] * len(ops)
-        config = self.config
+            if self._superops is None:
+                self._superops = compilation_cache().get_or_compile_superops(
+                    config, self.program, executable=executable
+                )
+            block_at = self._superops.block_at
+        else:
+            block_at = (None,) * len(executable.ops)
         icache = SetAssociativeCache(config.icache, "icache")
         dcache = SetAssociativeCache(config.dcache, "dcache")
-        icache_access = icache.access
-        dcache_access = dcache.access
-        ishift = icache.offset_bits
-        dshift = dcache.offset_bits
-        icache_misses = 0
-        dcache_misses = 0
-        interlocks = 0
-        # Same-line memo: a repeat access to the line just touched is a
-        # guaranteed MRU hit with no LRU movement and no events, so the
-        # cache model call can be skipped without changing any outcome.
-        ilast = -1
-        dlast = -1
-        prev_load_dests: tuple[int, ...] = ()
-        max_instructions = self.max_instructions
-        # Register reads skip the bounds check when compilation proved
-        # every index in range (the out-of-range IndexError path is kept
-        # for programs where it did not).
-        state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-        executed = 0
-        mem_base = 0
-
-        pc = state.pc
-        if pc != EXIT_ADDRESS:
-            idx = pc_map.get(pc, -1)
-            if idx < 0:
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, None)
-                )
-            while True:
-                if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        f"{executable.program_name}: "
-                        f"exceeded {max_instructions} instructions"
-                    )
-                executed += 1
-                op = ops[idx]
-                addr = op[10]
-                if op[6]:  # cached fetch
-                    line = addr >> ishift
-                    if line != ilast:
-                        ilast = line
-                        if not icache_access(addr):
-                            icache_misses += 1
-                if prev_load_dests:
-                    for src in op[2]:
-                        if src in prev_load_dests:
-                            interlocks += 1
-                            break
-                if op[5]:  # memory op: base register read precedes execution
-                    mem_base = state_get(op[3])
-                state.pc = addr
-                counts[idx] += 1
-                next_pc = op[0](state, op[1])
-                if op[5]:
-                    mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                    line = mem_addr >> dshift
-                    if line != dlast:
-                        dlast = line
-                        if not dcache_access(mem_addr):
-                            dcache_misses += 1
-                prev_load_dests = op[8]
-                if next_pc is None:
-                    if state.halted:
-                        state.pc = addr + INSTRUCTION_BYTES
-                        break
-                    idx = op[9]
-                    if idx >= 0:
-                        continue
-                    pc = addr + INSTRUCTION_BYTES
-                else:
-                    taken_counts[idx] += 1
-                    if state.halted:
-                        state.pc = next_pc
-                        break
-                    if next_pc == EXIT_ADDRESS:
-                        state.pc = EXIT_ADDRESS
-                        break
-                    idx = pc_map.get(next_pc, -1)
-                    if idx >= 0:
-                        continue
-                    pc = next_pc
-                state.pc = pc
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, addr)
-                )
-
-        stats = _aggregate_stats(
-            config, executable, counts, taken_counts,
-            icache_misses, dcache_misses, interlocks,
+        counts, taken_counts, interlocks, icache_misses, dcache_misses = _dispatch(
+            executable,
+            block_at,
+            state,
+            self.max_instructions,
+            icache.access,
+            dcache.access,
+            icache.offset_bits,
+            dcache.offset_bits,
         )
-        return SimulationResult(
+        result = SimulationResult(
             program=self.program,
             config=config,
-            stats=stats,
+            stats=_aggregate_stats(
+                config, executable, counts, taken_counts,
+                icache_misses, dcache_misses, interlocks,
+            ),
             state=state,
-            engine="compiled",
+            engine=engine,
         )
-
-    # ------------------------------------------------------------------
-    # superop path: one dispatch per basic block, per-op side exits
-    # ------------------------------------------------------------------
-
-    def _run_superop(self, state: MachineState) -> SimulationResult:
-        executable = self.executable
-        superops = self._superops
-        if superops is None:
-            superops = compilation_cache().get_or_compile_superops(
-                self.config, self.program, executable=executable
-            )
-            self._superops = superops
-        ops = executable.ops
-        pc_map = executable.pc_to_index
-        block_at = superops.block_at
-        counts = [0] * len(ops)
-        taken_counts = [0] * len(ops)
-        block_counts = [0] * len(superops.blocks)
-        config = self.config
-        icache = SetAssociativeCache(config.icache, "icache")
-        dcache = SetAssociativeCache(config.dcache, "dcache")
-        icache_access = icache.access
-        dcache_access = dcache.access
-        ishift = icache.offset_bits
-        dshift = dcache.offset_bits
-        interlocks = 0
-        # Same-line memo + miss counters as two-slot lists so fused block
-        # closures and the per-op side-exit path mutate one shared state.
-        ic = [-1, 0]
-        dc = [-1, 0]
-        prev_load_dests: tuple[int, ...] = ()
-        max_instructions = self.max_instructions
-        state_get = state.regs.__getitem__ if executable.regs_in_range else state.get
-        executed = 0
-        mem_base = 0
-
-        pc = state.pc
-        if pc != EXIT_ADDRESS:
-            idx = pc_map.get(pc, -1)
-            if idx < 0:
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, None)
-                )
-            while True:
-                block = block_at[idx]
-                if block is not None and executed + block[2] <= max_instructions:
-                    # Fused fast path: the whole block retires in one
-                    # dispatch — semantics, I-line memo and D-cache
-                    # replays inlined into one generated closure, and
-                    # the remaining bookkeeping folded to block deltas.
-                    executed += block[2]
-                    if prev_load_dests:
-                        for src in block[5]:
-                            if src in prev_load_dests:
-                                interlocks += 1
-                                break
-                    interlocks += block[6]
-                    block[10](state, ic, dc, icache_access, dcache_access)
-                    block_counts[block[0]] += 1
-                    prev_load_dests = block[7]
-                    idx = block[8]
-                    if idx >= 0:
-                        continue
-                    # Fell off the end of the mapped address range.
-                    addr = block[9]
-                    pc = (addr + INSTRUCTION_BYTES) & 0xFFFFFFFF
-                    state.pc = pc
-                    raise SimulationError(
-                        describe_invalid_pc(
-                            executable.program_name, pc, executable, addr
-                        )
-                    )
-                # Side exit / per-op path: block boundaries (branches,
-                # jumps, system ops, customs), mid-block landings from
-                # dynamic jumps, and blocks that would cross the
-                # instruction budget (so SimulationLimitExceeded raises
-                # at the exact instruction, after any earlier fault).
-                if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        f"{executable.program_name}: "
-                        f"exceeded {max_instructions} instructions"
-                    )
-                executed += 1
-                op = ops[idx]
-                addr = op[10]
-                if op[6]:  # cached fetch
-                    line = addr >> ishift
-                    if line != ic[0]:
-                        ic[0] = line
-                        if not icache_access(addr):
-                            ic[1] += 1
-                if prev_load_dests:
-                    for src in op[2]:
-                        if src in prev_load_dests:
-                            interlocks += 1
-                            break
-                if op[5]:  # memory op: base register read precedes execution
-                    mem_base = state_get(op[3])
-                state.pc = addr
-                counts[idx] += 1
-                next_pc = op[0](state, op[1])
-                if op[5]:
-                    mem_addr = (mem_base + op[4]) & 0xFFFFFFFF
-                    line = mem_addr >> dshift
-                    if line != dc[0]:
-                        dc[0] = line
-                        if not dcache_access(mem_addr):
-                            dc[1] += 1
-                prev_load_dests = op[8]
-                if next_pc is None:
-                    if state.halted:
-                        state.pc = addr + INSTRUCTION_BYTES
-                        break
-                    idx = op[9]
-                    if idx >= 0:
-                        continue
-                    pc = addr + INSTRUCTION_BYTES
-                else:
-                    taken_counts[idx] += 1
-                    if state.halted:
-                        state.pc = next_pc
-                        break
-                    if next_pc == EXIT_ADDRESS:
-                        state.pc = EXIT_ADDRESS
-                        break
-                    idx = pc_map.get(next_pc, -1)
-                    if idx >= 0:
-                        continue
-                    pc = next_pc
-                state.pc = pc
-                raise SimulationError(
-                    describe_invalid_pc(executable.program_name, pc, executable, addr)
-                )
-
-        # Expand per-block execution counters into the per-op counts the
-        # aggregation contract expects (O(static ops), like aggregation).
-        blocks = superops.blocks
-        for block_id, count in enumerate(block_counts):
-            if not count:
-                continue
-            block = blocks[block_id]
-            for i in range(block[1], block[1] + block[2]):
-                counts[i] += count
-        stats = _aggregate_stats(
-            config, executable, counts, taken_counts,
-            ic[1], dc[1], interlocks,
-        )
-        return SimulationResult(
-            program=self.program,
-            config=config,
-            stats=stats,
-            state=state,
-            engine="superop",
-        )
+        for observer in self.observers:
+            observer.on_run_finish(result)
+        return result
 
     # ------------------------------------------------------------------
     # instrumented path: observer chain and/or trace materialization

@@ -149,6 +149,32 @@ class TestSectionsAndData:
         with pytest.raises(AsmError, match="unknown directive"):
             assemble("    .bogus 3\nmain:\n    halt\n")
 
+    @pytest.mark.parametrize("origin", ["0x2", "0xffffffff"])
+    def test_misaligned_instruction_reports_its_line(self, origin):
+        with pytest.raises(AsmError, match="misaligned instruction address") as info:
+            assemble(f"main:\n    nop\n    .org {origin}\n    halt\n", "skew")
+        assert info.value.line_no == 4
+        assert str(info.value).startswith("skew:4:")
+
+    def test_instruction_past_end_of_address_space(self):
+        with pytest.raises(AsmError, match="past the end of the address space") as info:
+            assemble("    .org 0xfffffffc\nmain:\n    nop\n    nop\n", "wrap")
+        assert info.value.line_no == 4
+
+    def test_last_word_of_address_space_is_usable(self):
+        program = assemble("    .org 0xfffffffc\nmain:\n    halt\n")
+        assert program.entry == 0xFFFFFFFC
+
+    @pytest.mark.parametrize(
+        "directive", [".word 1, 2", ".half 1, 2, 3", ".space 5", '.ascii "hello"']
+    )
+    def test_data_past_end_of_address_space(self, directive):
+        with pytest.raises(AsmError, match="past the end of the address space") as info:
+            assemble(
+                f"    .data 0xfffffffc\nbuf:\n    {directive}\n    .text\nmain:\n    halt\n"
+            )
+        assert info.value.line_no == 3
+
 
 class TestUncachedRegions:
     def test_utext_marks_range(self):

@@ -1,10 +1,11 @@
 """Differential tests: compiled dispatch == reference interpreter.
 
-The compiled engine (:class:`repro.xtcore.Simulator`) must be bitwise
-equivalent to the retained reference interpreter
-(:class:`repro.xtcore.ReferenceSimulator`) on statistics, traces and
-final machine state — on every bundled benchmark and on hundreds of
-seeded random programs from :mod:`repro.testing.progen`.
+The compiled engines (:class:`repro.xtcore.Simulator`) and batched runs
+(:func:`repro.xtcore.run_batch`) must be bitwise equivalent to the
+retained reference interpreter (:class:`repro.xtcore.ReferenceSimulator`)
+on statistics, traces and final machine state — on every bundled
+benchmark and on hundreds of seeded random programs from
+:mod:`repro.testing.progen`.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from repro.xtcore import (
     Simulator,
     build_processor,
     compile_program,
+    run_batch,
 )
 
 TRACE_FIELDS = (
@@ -230,3 +232,94 @@ class TestStressPrograms:
         assert "is not a valid instruction address" in message
         assert "nearest preceding symbol: 'tail'" in message
         assert "last retired instruction at 0x" in message
+
+
+def line_variants(base):
+    """``base`` plus three variants mixing 16/32/64-byte I/D lines.
+
+    All four share one semantic partition, so ``run_batch`` accepts them
+    together; the smaller caches and changed penalties make the per-config
+    miss counts and cycle totals differ.
+    """
+
+    def cache(config, line_bytes, size_bytes, miss_penalty):
+        return dataclasses.replace(
+            config, line_bytes=line_bytes, size_bytes=size_bytes, miss_penalty=miss_penalty
+        )
+
+    return [
+        base,
+        dataclasses.replace(
+            base,
+            name=f"{base.name}-i16-d64",
+            icache=cache(base.icache, 16, 1024, 9),
+            dcache=cache(base.dcache, 64, 2048, 20),
+        ),
+        dataclasses.replace(
+            base,
+            name=f"{base.name}-i64-d16",
+            icache=cache(base.icache, 64, 4096, 15),
+            dcache=cache(base.dcache, 16, 512, 7),
+        ),
+        dataclasses.replace(
+            base,
+            name=f"{base.name}-i16-d16",
+            icache=cache(base.icache, 16, 256, 12),
+            dcache=cache(base.dcache, 16, 256, 12),
+            timing=dataclasses.replace(base.timing, branch_taken_penalty=4),
+        ),
+    ]
+
+
+class TestBatchEquivalence:
+    """``run_batch`` == one reference run per config, bitwise.
+
+    One recorded trajectory serves every member of the batch, so each
+    member's stats and the shared final state must equal what the
+    reference interpreter produces for that config alone; faults raise
+    once for the batch, exactly as a solo superop run raises them.
+    """
+
+    @staticmethod
+    def assert_batch_matches_reference(configs, program, max_instructions, context):
+        results = run_batch(configs, program, max_instructions=max_instructions)
+        assert len(results) == len(configs)
+        for config, result in zip(configs, results):
+            reference = ReferenceSimulator(
+                config, program, max_instructions=max_instructions
+            ).run()
+            where = f"{context} [{config.name}]"
+            assert result.engine == "batch"
+            assert result.config is config
+            assert_stats_equal(reference.stats, result.stats, where)
+            assert_states_equal(reference.state, result.state, where)
+
+    def test_random_sweep(self):
+        configs = line_variants(build_processor("xt-differential", []))
+        for seed in RANDOM_SEEDS:
+            self.assert_batch_matches_reference(
+                configs, generate_program(seed), MAX_INSTRUCTIONS, f"seed {seed}"
+            )
+
+    @pytest.mark.parametrize(
+        "case_program", stress_programs(), ids=lambda cp: cp[0].name
+    )
+    def test_stress_programs(self, case_program):
+        case, program = case_program
+        configs = line_variants(build_processor("xt-stress", []))
+        if not case.faulting:
+            self.assert_batch_matches_reference(
+                configs, program, case.max_instructions, case.name
+            )
+            return
+        with pytest.raises((SimulationError, SimulationLimitExceeded)) as solo:
+            Simulator(
+                configs[0],
+                program,
+                max_instructions=case.max_instructions,
+                engine="superop",
+            ).run()
+        with pytest.raises((SimulationError, SimulationLimitExceeded)) as batch:
+            run_batch(configs, program, max_instructions=case.max_instructions)
+        assert type(batch.value) is type(solo.value)
+        assert str(batch.value) == str(solo.value)

@@ -1,8 +1,14 @@
 """Unit tests for the compile-and-dispatch layer (repro.xtcore.compiled)."""
 
+import copy
+import random
+
 import pytest
 
 from repro.asm import assemble
+from repro.isa import Instruction, MachineState, base_isa
+from repro.isa.instructions import BRANCHING_FORMATS, FORMAT_FIELDS
+from repro.isa.state import NUM_REGISTERS, SparseMemory
 from repro.obs import DEFAULT_MAX_INSTRUCTIONS as OBS_DEFAULT
 from repro.xtcore import (
     DEFAULT_MAX_INSTRUCTIONS,
@@ -20,6 +26,8 @@ from repro.xtcore.compiled import (
     OP_ISSUE_TAKEN,
     OP_ISSUE_UNTAKEN,
     OP_MNEMONIC,
+    _TEMPLATES,
+    _specialize,
 )
 
 SOURCE = """
@@ -213,3 +221,79 @@ class TestInvalidPcDiagnostics:
         message = str(excinfo.value)
         assert "nearest preceding symbol: 'buf'" in message
         assert "last retired instruction at" in message
+
+
+class TestSemanticsTemplates:
+    """Every base mnemonic's template closure == its generic semantics."""
+
+    EDGES = (0, 1, 0x7F, 0x80, 0xFFF, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+    PAGE = SparseMemory.PAGE_SIZE
+
+    def random_instruction(self, rng, definition, addr):
+        fields = {}
+        for field in FORMAT_FIELDS[definition.fmt]:
+            if field in ("rd", "rs", "rt"):
+                fields[field] = rng.randrange(NUM_REGISTERS)
+            elif field == "imm2":  # BI compare value / bit index, as assembled
+                fields["rt"] = rng.randrange(-32, 32)
+            elif definition.fmt in BRANCHING_FORMATS:
+                fields["imm"] = 4 * rng.randrange(1 << 16)
+            else:
+                fields["imm"] = rng.randrange(-(1 << 18), 1 << 18)
+        return Instruction(definition.mnemonic, addr=addr, **fields)
+
+    def random_state(self, rng, ins):
+        state = MachineState()
+        for reg in range(NUM_REGISTERS):
+            state.regs[reg] = rng.choice(
+                (rng.choice(self.EDGES), rng.getrandbits(32))
+            )
+        if ins.rs is not None and ins.imm is not None:
+            # aim memory ops at a random word or right at a page boundary
+            target = rng.choice(
+                (rng.getrandbits(32), self.PAGE * rng.randrange(1, 64) - rng.randrange(4))
+            )
+            state.regs[ins.rs] = (target - ins.imm) & 0xFFFFFFFF
+            state.memory.write_bytes(target & ~7, rng.randbytes(16))
+        return state
+
+    def test_template_closures_match_generic_semantics(self):
+        rng = random.Random(2003)
+        isa = base_isa()
+        assert set(_TEMPLATES) < {d.mnemonic for d in isa}
+        for mnemonic in sorted(_TEMPLATES):
+            definition = isa.lookup(mnemonic)
+            for _ in range(60):
+                addr = 4 * rng.randrange(1 << 16)
+                ins = self.random_instruction(rng, definition, addr)
+                closure = _specialize(definition, ins, addr, NUM_REGISTERS)
+                assert closure is not None, mnemonic
+                expected = self.random_state(rng, ins)
+                actual = copy.deepcopy(expected)
+                expected.pc = actual.pc = addr
+                want = definition.semantics(expected, ins)
+                got = closure(actual, ins)
+                context = f"{ins} at {addr:#x}"
+                assert got == want, context
+                assert actual.regs == expected.regs, context
+                assert actual.halted == expected.halted, context
+                assert {k: bytes(v) for k, v in actual.memory._pages.items()} == {
+                    k: bytes(v) for k, v in expected.memory._pages.items()
+                }, context
+
+    def test_out_of_range_register_keeps_generic_semantics(self):
+        isa = base_isa()
+        ins = Instruction("add", rd=2, rs=3, rt=NUM_REGISTERS)
+        assert _specialize(isa.lookup("add"), ins, 0, NUM_REGISTERS) is None
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled", "superop"])
+    def test_bi_branch_with_negative_immediate(self, config, engine):
+        program = assemble(
+            "main:\n    movi a2, -3\n    movi a3, 0\n    beqi a2, -3, yes\n    halt\n"
+            "yes:\n    movi a3, 1\n    halt\n",
+            "beqi-negative",
+            isa=config.isa,
+        )
+        result = Simulator(config, program, engine=engine).run()
+        assert result.state.regs[3] == 1
+        assert result.instructions == 5

@@ -24,6 +24,7 @@ from repro.xtcore.compiled import (
     BLK_START,
     CompilationCache,
     OP_INTERIOR,
+    line_shift,
 )
 
 LOOP_SOURCE = """\
@@ -53,7 +54,9 @@ def program():
 class TestCompileSuperops:
     def test_block_discovery(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(
+            executable, line_shift(config.icache), line_shift(config.dcache)
+        )
         assert len(superops) >= 2  # entry run and loop body at minimum
         assert superops.program_digest == executable.program_digest
         assert superops.config_fingerprint == executable.config_fingerprint
@@ -66,7 +69,9 @@ class TestCompileSuperops:
 
     def test_blocks_cover_only_interior_ops(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(
+            executable, line_shift(config.icache), line_shift(config.dcache)
+        )
         for block in superops.blocks:
             for i in range(block[BLK_START], block[BLK_START] + block[BLK_LEN]):
                 assert executable.ops[i][OP_INTERIOR]
@@ -76,12 +81,16 @@ class TestCompileSuperops:
         # fused closure (non-inlinable ops would leave BLK_FN exercising
         # the bound-callable path, still non-None)
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(
+            executable, line_shift(config.icache), line_shift(config.dcache)
+        )
         assert all(callable(block[BLK_FN]) for block in superops.blocks)
 
     def test_fall_through_links(self, config, program):
         executable = compile_program(config, program)
-        superops = compile_superops(executable, config)
+        superops = compile_superops(
+            executable, line_shift(config.icache), line_shift(config.dcache)
+        )
         for block in superops.blocks:
             nxt = block[BLK_NEXT_IDX]
             assert nxt == -1 or 0 <= nxt < len(executable.ops)

@@ -4,7 +4,8 @@
 DiscoveryManifest` into a :class:`~repro.dse.SearchSpace` named
 ``discovered:<workload>``: one ``impl`` knob whose values are the
 software baseline plus every verified discovered instruction, crossed
-with the same cache-geometry knobs as the bundled ``*_tuned`` spaces.
+with the same cache-geometry axis as the bundled ``*_tuned`` spaces
+(:func:`repro.dse.with_cache_geometry`).
 Each discovered design point rebuilds deterministically from the
 manifest — re-lift the stored graph, recompile its TIE extension,
 rewrite the software program — so exploration workers never need the
@@ -16,8 +17,14 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..asm import Program, assemble
-from ..dse.space import Knob, SearchSpace, register_space, with_operating_points
-from ..xtcore import CacheConfig, ProcessorConfig, build_processor
+from ..dse.space import (
+    Knob,
+    SearchSpace,
+    register_space,
+    with_cache_geometry,
+    with_operating_points,
+)
+from ..xtcore import ProcessorConfig, build_processor
 from .pipeline import DiscoveryManifest, software_case
 from .rewrite import rewrite_program
 
@@ -26,20 +33,13 @@ def _build_discovered_point(
     manifest: DiscoveryManifest, assignment: dict
 ) -> Tuple[ProcessorConfig, Program]:
     case = software_case(manifest.workload)
-    base = ProcessorConfig(
-        icache=CacheConfig(size_bytes=int(assignment.get("icache_kb", 16)) * 1024),
-        dcache=CacheConfig(
-            size_bytes=int(assignment.get("dcache_kb", 16)) * 1024,
-            ways=int(assignment.get("dcache_ways", 4)),
-        ),
-    )
     impl = assignment["impl"]
     if impl == "sw":
-        config = build_processor(f"xt-{case.name}", base=base)
+        config = build_processor(f"xt-{case.name}")
         return config, assemble(case.source, case.name, isa=config.isa)
     entry = next(e for e in manifest.entries if e.mnemonic == impl)
     legalized = entry.legalize()
-    config = build_processor(f"xt-{case.name}+{impl}", legalized.lifted.specs, base=base)
+    config = build_processor(f"xt-{case.name}+{impl}", legalized.lifted.specs)
     program = assemble(case.source, case.name, isa=config.isa)
     return config, rewrite_program(program, config.isa, legalized).program
 
@@ -56,19 +56,18 @@ def discovered_space(
     manifests stay stable.
     """
     impls = ("sw",) + tuple(entry.mnemonic for entry in manifest.entries)
-    space = SearchSpace(
-        name=f"discovered:{manifest.workload}",
-        description=(
-            f"software {manifest.workload} vs {len(manifest.entries)} discovered "
-            "instruction(s), crossed with cache-geometry knobs"
+    name = f"discovered:{manifest.workload}"
+    space = with_cache_geometry(
+        SearchSpace(
+            name=name,
+            description=(
+                f"software {manifest.workload} vs {len(manifest.entries)} discovered "
+                "instruction(s), crossed with cache-geometry knobs"
+            ),
+            knobs=(Knob("impl", impls),),
+            builder=lambda a: _build_discovered_point(manifest, a),
         ),
-        knobs=(
-            Knob("impl", impls),
-            Knob("icache_kb", (4, 8, 16)),
-            Knob("dcache_kb", (4, 8, 16)),
-            Knob("dcache_ways", (1, 2, 4)),
-        ),
-        builder=lambda a: _build_discovered_point(manifest, a),
+        name=name,
     )
     if operating_points:
         space = with_operating_points(space, operating_points, name=space.name)

@@ -38,6 +38,7 @@ from .pareto import PARETO_AXES, dominates, pareto_frontier, rank_scores
 from .report import CrossCheckResult, ExplorationReport, cross_check, explore
 from .space import (
     BUILTIN_SPACES,
+    CACHE_GEOMETRY_KNOBS,
     OPERATING_POINT_KNOB,
     Assignment,
     Candidate,
@@ -48,6 +49,7 @@ from .space import (
     available_spaces,
     get_space,
     register_space,
+    with_cache_geometry,
     with_operating_points,
 )
 from .strategies import (
@@ -61,6 +63,7 @@ from .strategies import (
 __all__ = [
     "Assignment",
     "BUILTIN_SPACES",
+    "CACHE_GEOMETRY_KNOBS",
     "Candidate",
     "CandidateScore",
     "CrossCheckResult",
@@ -91,5 +94,6 @@ __all__ = [
     "program_digest",
     "rank_scores",
     "register_space",
+    "with_cache_geometry",
     "with_operating_points",
 ]

@@ -2,10 +2,14 @@
 
 Every candidate costs one untraced instruction-set simulation (the
 paper's ~1000x-cheaper-than-RTL estimate path) plus a netlist generation
-for the custom-area proxy.  The engine layers three accelerations on it:
+for the custom-area proxy.  The engine layers four accelerations on it:
 
 * a per-run **memo** — strategies that revisit design points (greedy
   walks) pay for each point once;
+* a per-run **build memo** — each inner design point (the assignment
+  without its reserved cache-geometry and operating-point knobs) is built
+  and lowered once; its variants are derived from it (see
+  :meth:`repro.dse.SearchSpace.build`);
 * the content-addressed **on-disk cache** (:mod:`repro.dse.cache`) —
   repeated or resumed explorations skip already-scored points entirely;
 * a ``multiprocessing`` **parallel executor** (``jobs > 1``) — uncached
@@ -147,10 +151,16 @@ OBJECTIVES = ("energy", "cycles", "edp", "area", "time", "edp_seconds")
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(model: EnergyMacroModel, space: SearchSpace, max_instructions: int) -> None:
+def _worker_init(
+    model: EnergyMacroModel,
+    space: SearchSpace,
+    max_instructions: int,
+    builds: Optional[dict],
+) -> None:
     _WORKER_STATE["model"] = model
     _WORKER_STATE["space"] = space
     _WORKER_STATE["max_instructions"] = max_instructions
+    _WORKER_STATE["builds"] = builds
 
 
 def _score_point(
@@ -159,8 +169,13 @@ def _score_point(
     assignment: dict,
     max_instructions: int,
     built: Optional[tuple] = None,
+    builds: Optional[dict] = None,
 ) -> dict:
-    """Score one design point; never raises (failures become records)."""
+    """Score one design point; never raises (failures become records).
+
+    ``builds`` is the exploration's build memo (see
+    :meth:`~repro.dse.SearchSpace.build`), used when ``built`` is None.
+    """
     from .space import assignment_key
 
     key = assignment_key(assignment)
@@ -170,7 +185,7 @@ def _score_point(
         # model.at() memoizes per point, so the derived model is shared
         # across every candidate at that point.
         model = model.at(assignment.get(OPERATING_POINT_KNOB))
-        config, program = built if built is not None else space.build(assignment)
+        config, program = built if built is not None else space.build(assignment, builds)
         stage = "estimate"
         estimate = model.estimate(config, program, max_instructions=max_instructions)
         area = generate_netlist(config).custom_area
@@ -204,6 +219,7 @@ def _worker_evaluate(assignment: dict) -> dict:
         _WORKER_STATE["space"],
         assignment,
         _WORKER_STATE["max_instructions"],
+        builds=_WORKER_STATE["builds"],
     )
 
 
@@ -259,6 +275,10 @@ class EvaluationEngine:
             None: (model, model_digest(model))
         }
         self._memo: dict[str, CandidateScore] = {}
+        # The build memo: one built pair per inner design point, for this
+        # engine only — a second exploration pays for its own builds.  A
+        # space without reserved axes has no variants to share a build.
+        self._builds: Optional[dict] = {} if space.inner is not None else None
 
     def _resolve_model(self, assignment: dict) -> tuple[EnergyMacroModel, str]:
         """The (derived model, digest) for one assignment's operating point.
@@ -336,13 +356,16 @@ class EvaluationEngine:
         context = _fork_context() if self.jobs > 1 and len(pending) > 1 else None
         if context is None:
             return self._run_serial(pending)
-        # Lower every pending design point in the parent before forking:
-        # workers inherit the populated compilation cache copy-on-write, so
-        # each (program, config-content) pair compiles exactly once per
-        # exploration instead of once per worker.
+        # Build and lower every pending design point in the parent before
+        # forking: workers inherit the build memo and the populated
+        # compilation cache copy-on-write, so each implementation is built
+        # and compiled exactly once per exploration instead of once per
+        # worker.
         for _, candidate, built in pending:
             try:
-                config, program = built if built is not None else candidate.build()
+                config, program = (
+                    built if built is not None else candidate.build(self._builds)
+                )
                 compilation_cache().get_or_compile(config, program)
             except Exception:  # noqa: BLE001 — the worker records the real failure
                 continue
@@ -365,7 +388,7 @@ class EvaluationEngine:
         for index, (_, candidate, built) in enumerate(pending):
             try:
                 config, program = (
-                    built if built is not None else candidate.build()
+                    built if built is not None else candidate.build(self._builds)
                 )
                 partition = (program.digest(), semantic_fingerprint(config))
             except Exception:  # noqa: BLE001 — scored per-point for the real record
@@ -375,6 +398,7 @@ class EvaluationEngine:
                     pending[index][1].assignment_dict,
                     self.max_instructions,
                     built=built,
+                    builds=self._builds,
                 )
                 continue
             groups.setdefault(partition, []).append(
@@ -465,7 +489,7 @@ class EvaluationEngine:
             max_workers=min(self.jobs, len(pending)),
             mp_context=context,
             initializer=_worker_init,
-            initargs=(self.model, self.space, self.max_instructions),
+            initargs=(self.model, self.space, self.max_instructions, self._builds),
         )
         try:
             for start in range(0, len(pending), wave_size):
@@ -508,6 +532,7 @@ class EvaluationEngine:
                     candidate.assignment_dict,
                     self.max_instructions,
                     built=built,
+                    builds=self._builds,
                 )
         return results
 
@@ -515,7 +540,7 @@ class EvaluationEngine:
         """A cached score, a built (config, program) pair, or None."""
         try:
             digest = self._resolve_model(candidate.assignment_dict)[1]
-            config, program = candidate.build()
+            config, program = candidate.build(self._builds)
         except Exception as exc:  # noqa: BLE001
             self._record_failure(
                 candidate,
@@ -541,7 +566,7 @@ class EvaluationEngine:
     def _store(self, candidate: Candidate, raw: dict, built: Optional[tuple]) -> None:
         if self.cache is None:
             return
-        config, program = built if built is not None else candidate.build()
+        config, program = built if built is not None else candidate.build(self._builds)
         key = candidate_cache_key(
             self._resolve_model(candidate.assignment_dict)[1],
             config,

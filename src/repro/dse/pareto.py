@@ -21,11 +21,17 @@ def _axis_tuple(score: CandidateScore, axes: Sequence[str]) -> tuple:
     return tuple(score.objective(axis) for axis in axes)
 
 
+def _comparable(values: tuple) -> bool:
+    return all(value == value for value in values)  # False on NaN
+
+
+def _dominates(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b)) and a != b
+
+
 def dominates(a: CandidateScore, b: CandidateScore, axes: Sequence[str] = PARETO_AXES) -> bool:
     """True when ``a`` is no worse than ``b`` everywhere and better somewhere."""
-    a_values = _axis_tuple(a, axes)
-    b_values = _axis_tuple(b, axes)
-    return all(x <= y for x, y in zip(a_values, b_values)) and a_values != b_values
+    return _dominates(_axis_tuple(a, axes), _axis_tuple(b, axes))
 
 
 def pareto_frontier(
@@ -39,12 +45,23 @@ def pareto_frontier(
     unique: dict[str, CandidateScore] = {}
     for score in scores:
         unique.setdefault(score.key, score)
-    points = sorted(unique.values(), key=lambda s: (_axis_tuple(s, axes), s.key))
-    frontier = []
-    for candidate in points:
-        if not any(dominates(other, candidate, axes) for other in points):
-            frontier.append(candidate)
-    return frontier
+    points = sorted(
+        ((_axis_tuple(score, axes), key, score) for key, score in unique.items()),
+        key=lambda point: point[:2],
+    )
+    # A dominator sorts strictly before the point it dominates, and
+    # dominance is transitive, so a scan in sorted order need only test
+    # each point against the frontier found so far.  A point with a NaN
+    # axis neither dominates nor is dominated (every comparison with NaN
+    # is false): it is on the frontier, and stays out of the scan, whose
+    # sort needs comparable values.
+    frontier: list[tuple] = []
+    keep = {key for values, key, _ in points if not _comparable(values)}
+    for values, key in sorted((values, key) for values, key, _ in points if key not in keep):
+        if not any(_dominates(other, values) for other in frontier):
+            frontier.append(values)
+            keep.add(key)
+    return [score for _, key, score in points if key in keep]
 
 
 def rank_scores(

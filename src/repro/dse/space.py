@@ -15,6 +15,14 @@ Design points are addressed three interchangeable ways:
 * a **key** — the canonical ``"icache_kb=8,impl=gfmac"`` string used in
   reports and result caches.
 
+Two axes are **reserved**: a wrapper appends them to any space and
+applies them on top of the wrapped space's build — cache geometry
+(:func:`with_cache_geometry`) as a :meth:`ProcessorConfig.with_caches`
+step, operating points (:func:`with_operating_points`) not at all (the
+evaluation engine rescales the model instead).  Given a build memo,
+:meth:`SearchSpace.build` therefore builds each inner design point once
+however many reserved-axis variants of it are explored.
+
 Bundled spaces (see :data:`BUILTIN_SPACES`) subsume the hand-built
 ``fir_choices()``/``reed_solomon_choices()`` studies and extend them with
 cache-geometry knobs; they are registered by name so worker processes can
@@ -24,7 +32,7 @@ rebuild them from a picklable reference.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..asm import Program, assemble
 from ..tech import DEFAULT_DVFS_POINTS, OperatingPoint, default_calibration
@@ -39,8 +47,15 @@ OPERATING_POINT_KNOB = "operating_point"
 #: A knob assignment: knob name -> chosen value (JSON-scalar).
 Assignment = Dict[str, object]
 
+#: A built design point.
+Built = Tuple[ProcessorConfig, Program]
+
 #: ``builder(assignment) -> (config, program)`` for one design point.
-BuildFn = Callable[[Assignment], Tuple[ProcessorConfig, Program]]
+BuildFn = Callable[[Assignment], Built]
+
+#: Names of the reserved cache-geometry knobs (see
+#: :func:`with_cache_geometry`), in knob order.
+CACHE_GEOMETRY_KNOBS = ("icache_kb", "dcache_kb", "dcache_ways")
 
 
 class SpaceError(ValueError):
@@ -87,9 +102,12 @@ class Candidate:
         """Canonical id of this design point within its space."""
         return assignment_key(self.assignment_dict)
 
-    def build(self) -> Tuple[ProcessorConfig, Program]:
-        """Materialize the (processor config, assembled program) pair."""
-        return self.space.build(self.assignment_dict)
+    def build(self, memo: Optional[dict] = None) -> Built:
+        """Materialize the (processor config, assembled program) pair.
+
+        ``memo`` is passed on to :meth:`SearchSpace.build`.
+        """
+        return self.space.build(self.assignment_dict, memo)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,14 +116,25 @@ class SearchSpace:
 
     The knob order is significant: it defines the mixed-radix index of
     each assignment and therefore the deterministic enumeration order.
+
+    A space either builds its points itself (``builder``) or, when made
+    by a reserved-axis wrapper, records the space it wraps (``inner``,
+    whose knobs lead its own) and the step ``derive(assignment,
+    inner_pair)`` that turns the inner pair into its own.
     """
 
     name: str
     description: str
     knobs: tuple[Knob, ...]
-    builder: BuildFn
+    builder: Optional[BuildFn] = None
+    inner: Optional["SearchSpace"] = None
+    derive: Optional[Callable[[Assignment, Built], Built]] = None
 
     def __post_init__(self) -> None:
+        if (self.builder is None) == (self.inner is None or self.derive is None):
+            raise SpaceError(
+                f"space {self.name!r} needs either a builder or an inner space and a derive step"
+            )
         if not self.knobs:
             raise SpaceError(f"space {self.name!r} has no knobs")
         names = [knob.name for knob in self.knobs]
@@ -175,9 +204,27 @@ class SearchSpace:
         for index in range(self.size):
             yield self.candidate_at(index)
 
-    def build(self, assignment: Mapping[str, object]) -> Tuple[ProcessorConfig, Program]:
+    def build(self, assignment: Mapping[str, object], memo: Optional[dict] = None) -> Built:
+        """Build one design point.
+
+        A space with reserved axes builds its inner point and derives its
+        own pair from it.  ``memo`` (a dict the caller owns, for one space)
+        maps the innermost space's assignment keys to their built pairs,
+        so each inner point is built once however many reserved-axis
+        variants of it are asked for; the pairs are content-identical to a
+        build without a memo.
+        """
         self.validate(assignment)
-        return self.builder(dict(assignment))
+        if self.inner is not None:
+            inner = {knob.name: assignment[knob.name] for knob in self.inner.knobs}
+            return self.derive(dict(assignment), self.inner.build(inner, memo))
+        if memo is None:
+            return self.builder(dict(assignment))
+        key = assignment_key(assignment)
+        built = memo.get(key)
+        if built is None:
+            built = memo[key] = self.builder(dict(assignment))
+        return built
 
     def describe(self) -> str:
         lines = [f"space {self.name}: {self.size} design points — {self.description}"]
@@ -221,16 +268,70 @@ def with_operating_points(
     if len(set(keys)) != len(keys):
         raise SpaceError(f"duplicate operating points in {keys}")
 
-    def build(assignment: Assignment) -> Tuple[ProcessorConfig, Program]:
-        inner = dict(assignment)
-        inner.pop(OPERATING_POINT_KNOB, None)
-        return space.build(inner)
-
-    return SearchSpace(
+    return _wrap(
+        space,
+        (Knob(OPERATING_POINT_KNOB, tuple(keys)),),
+        lambda assignment, built: built,
         name=name if name is not None else f"{space.name}@dvfs",
         description=f"{space.description} x {len(keys)} DVFS operating points",
-        knobs=space.knobs + (Knob(OPERATING_POINT_KNOB, tuple(keys)),),
-        builder=build,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cache-geometry axis
+# ---------------------------------------------------------------------------
+
+
+def with_cache_geometry(space: SearchSpace, name: "str | None" = None) -> SearchSpace:
+    """Cross a space with the reserved cache-geometry axis.
+
+    Appends the :data:`CACHE_GEOMETRY_KNOBS`: I-cache size (4/8/16 KB),
+    D-cache size (4/8/16 KB) and D-cache associativity (1/2/4 ways), on
+    32-byte lines with a 4-way I-cache.  The wrapped space builds the
+    inner design point without them and applies the geometry last
+    through :meth:`ProcessorConfig.with_caches`, so every geometry
+    variant of one inner point shares its program, its ISA and its
+    lowering.
+    """
+    taken = {knob.name for knob in space.knobs} & set(CACHE_GEOMETRY_KNOBS)
+    if taken:
+        raise SpaceError(f"space {space.name!r} already has knobs {sorted(taken)}")
+    return _wrap(
+        space,
+        tuple(
+            Knob(knob, values)
+            for knob, values in zip(CACHE_GEOMETRY_KNOBS, ((4, 8, 16), (4, 8, 16), (1, 2, 4)))
+        ),
+        _apply_cache_geometry,
+        name=name if name is not None else f"{space.name}_tuned",
+        description=space.description,
+    )
+
+
+def _apply_cache_geometry(assignment: Assignment, built: Built) -> Built:
+    config, program = built
+    icache = CacheConfig(size_bytes=int(assignment["icache_kb"]) * 1024)
+    dcache = CacheConfig(
+        size_bytes=int(assignment["dcache_kb"]) * 1024,
+        ways=int(assignment["dcache_ways"]),
+    )
+    return config.with_caches(icache, dcache), program
+
+
+def _wrap(
+    space: SearchSpace,
+    knobs: tuple[Knob, ...],
+    derive: Callable[[Assignment, Built], Built],
+    name: str,
+    description: str,
+) -> SearchSpace:
+    """``space`` crossed with reserved ``knobs`` that ``derive`` applies."""
+    return SearchSpace(
+        name=name,
+        description=description,
+        knobs=space.knobs + knobs,
+        inner=space,
+        derive=derive,
     )
 
 
@@ -252,23 +353,11 @@ def _case_factories(workload: str) -> Mapping[str, Callable]:
     raise SpaceError(f"unknown bundled workload {workload!r}")
 
 
-def _build_impl_point(workload: str, assignment: Assignment) -> Tuple[ProcessorConfig, Program]:
-    """Build one bundled design point, honoring optional cache knobs.
-
-    The program is always assembled against the freshly built config's
-    ISA so candidate evaluation never leaks object identity between
-    design points (a requirement for content-addressed caching).
-    """
+def _build_impl_point(workload: str, assignment: Assignment) -> Built:
+    """Build one bundled design point on the default cache geometry."""
     case = _case_factories(workload)[assignment["impl"]]()
-    base = ProcessorConfig(
-        icache=CacheConfig(size_bytes=int(assignment.get("icache_kb", 16)) * 1024),
-        dcache=CacheConfig(
-            size_bytes=int(assignment.get("dcache_kb", 16)) * 1024,
-            ways=int(assignment.get("dcache_ways", 4)),
-        ),
-    )
     specs = [factory() for factory in case.spec_factories]
-    config = build_processor(f"xt-{case.name}", specs, base=base)
+    config = build_processor(f"xt-{case.name}", specs)
     program = assemble(case.source, case.name, isa=config.isa)
     return config, program
 
@@ -283,17 +372,7 @@ def _impl_space(workload: str, impls: Sequence[str], description: str) -> Search
 
 
 def _tuned_space(workload: str, impls: Sequence[str], description: str) -> SearchSpace:
-    return SearchSpace(
-        name=f"{workload}_tuned",
-        description=description,
-        knobs=(
-            Knob("impl", tuple(impls)),
-            Knob("icache_kb", (4, 8, 16)),
-            Knob("dcache_kb", (4, 8, 16)),
-            Knob("dcache_ways", (1, 2, 4)),
-        ),
-        builder=lambda a: _build_impl_point(workload, a),
-    )
+    return with_cache_geometry(_impl_space(workload, impls, description))
 
 
 def _builtin_spaces() -> dict[str, Callable[[], SearchSpace]]:

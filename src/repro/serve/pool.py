@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import threading
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 from ..core.model import EnergyMacroModel
@@ -49,6 +51,16 @@ from .supervise import (
 
 #: Worker-process globals, installed by :func:`_worker_init`.
 _WORKER: dict = {}
+
+#: Bound of the per-process memo of assembled inline programs: one-off
+#: sources would otherwise grow it with every request.  It has to hold a
+#: service's repeated sources (18 in the perfbench serve mix: 16 bundled
+#: sources and 2 spin programs) with room to spare, so that the one-offs
+#: between two repeats of a source do not evict it.
+PROGRAM_MEMO_SIZE = 256
+
+#: Guards the program memo's LRU order (inline mode resolves from threads).
+_PROGRAMS_LOCK = threading.Lock()
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -85,10 +97,13 @@ def _worker_init(model: EnergyMacroModel, fork: bool = False) -> None:
                 signal.signal(signum, signal.SIG_DFL)
             except (OSError, ValueError):  # non-main thread / exotic platform
                 pass
+        # A parent thread may have held the memo lock at fork time.
+        global _PROGRAMS_LOCK
+        _PROGRAMS_LOCK = threading.Lock()
     _WORKER["model"] = model
     _WORKER["fork"] = fork
     _WORKER.setdefault("configs", {})
-    _WORKER.setdefault("programs", {})
+    _WORKER.setdefault("programs", OrderedDict())
     _WORKER.setdefault("areas", {})
 
 
@@ -141,13 +156,23 @@ def resolve_workload(item: dict):
         return case.build()
     from ..asm import assemble
 
-    config = _config_for(tuple(item.get("extensions", ())))
-    cache_key = (hash(item["source"]), tuple(item.get("extensions", ())))
+    extensions = tuple(item.get("extensions", ()))
+    config = _config_for(extensions)
+    key = (item["source"], extensions)
     programs = _WORKER["programs"]
-    program = programs.get(cache_key)
-    if program is None:
-        program = assemble(item["source"], item.get("name", "request"), isa=config.isa)
-        programs[cache_key] = program
+    with _PROGRAMS_LOCK:
+        program = programs.get(key)
+        if program is not None:
+            programs.move_to_end(key)
+            return config, program
+    # Assembled outside the lock, so a hit never waits behind a miss; of
+    # two threads that assembled one source, the first to insert wins.
+    program = assemble(item["source"], item.get("name", "request"), isa=config.isa)
+    with _PROGRAMS_LOCK:
+        program = programs.setdefault(key, program)
+        programs.move_to_end(key)
+        if len(programs) > PROGRAM_MEMO_SIZE:
+            programs.popitem(last=False)
     return config, program
 
 

@@ -39,13 +39,11 @@ The returned results share one final :class:`~repro.isa.MachineState`
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import TYPE_CHECKING, Sequence
 
 from .caches import SetAssociativeCache
 from .compiled import compilation_cache, compile_superops, line_shift
-from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, _extension_payload
+from .config import DEFAULT_MAX_INSTRUCTIONS, ProcessorConfig, semantic_fingerprint
 from .errors import SimulationError
 from .iss import SimulationResult, Simulator, _aggregate_stats, _dispatch
 
@@ -53,39 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..asm import Program
 
 __all__ = ["run_batch", "semantic_fingerprint"]
-
-#: Fingerprint-payload keys that shape energy/timing but not execution:
-#: a custom instruction's latency, hardware instances, schedule and bus
-#: taps change what a retire *costs*, never what it *computes*.
-_NON_SEMANTIC_EXTENSION_KEYS = ("latency", "instances", "active_cycles", "bus_tapped")
-
-
-def semantic_fingerprint(config: ProcessorConfig) -> str:
-    """Content hash of everything that shapes the execution *trajectory*.
-
-    Two configs with equal semantic fingerprints run any program through
-    the identical instruction sequence — same retires, branch outcomes,
-    memory addresses, interlocks and final machine state — no matter how
-    their caches, pipeline penalties, clock or custom-hardware costs
-    differ.  That is the compatibility contract of :func:`run_batch`.
-    """
-    extensions = []
-    for impl in config.extensions:
-        payload = _extension_payload(impl)
-        for key in _NON_SEMANTIC_EXTENSION_KEYS:
-            payload.pop(key, None)
-        extensions.append(payload)
-    blob = json.dumps(
-        {
-            "format": "repro-semantic-fingerprint/1",
-            "num_registers": config.num_registers,
-            "extensions": extensions,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 def _replay_stream(stream: list[int], cache: SetAssociativeCache) -> int:
     """Misses when ``cache`` sees ``stream``, with the same-line memo applied."""

@@ -13,9 +13,11 @@ construction.  This module hoists all of that to **compile time**:
   control outcomes, uncached flag and fall-through successor index all
   pre-bound;
 * :class:`CompilationCache` memoizes those lowerings across runs, keyed
-  by ``(Program.digest(), ProcessorConfig.fingerprint())`` — content
-  hashes, so equal-content programs/configs share one compilation no
-  matter how many objects or processes spell them;
+  by ``(Program.digest(), ProcessorConfig.lowering_fingerprint())`` —
+  content hashes that leave out the cache geometry the lowering never
+  reads, so equal-content programs/configs, and configs that differ only
+  in their caches, share one compilation no matter how many objects or
+  processes spell them;
 * :func:`describe_invalid_pc` turns a wild program counter into an
   actionable diagnostic (nearest preceding symbol, last retired address).
 
@@ -105,7 +107,9 @@ class ExecutableProgram:
     program_name: str
     config_name: str
     program_digest: str
-    config_fingerprint: str
+    #: :meth:`ProcessorConfig.lowering_fingerprint` of the config it was
+    #: lowered against (cache geometry is not part of a lowering)
+    lowering_fingerprint: str
     entry: int
     ops: tuple[tuple, ...]
     addrs: tuple[int, ...]
@@ -136,7 +140,7 @@ class ExecutableProgram:
         return (
             f"ExecutableProgram({self.program_name} on {self.config_name}: "
             f"{len(self.ops)} ops, key {self.program_digest[:8]}/"
-            f"{self.config_fingerprint[:8]})"
+            f"{self.lowering_fingerprint[:8]})"
         )
 
 
@@ -507,7 +511,7 @@ def compile_program(config: "ProcessorConfig", program: "Program") -> Executable
         program_name=program.name,
         config_name=config.name,
         program_digest=program.digest(),
-        config_fingerprint=config.fingerprint(),
+        lowering_fingerprint=config.lowering_fingerprint(),
         entry=program.entry,
         ops=tuple(ops),
         addrs=addrs,
@@ -567,7 +571,7 @@ class SuperopProgram:
     """
 
     program_digest: str
-    config_fingerprint: str
+    lowering_fingerprint: str
     blocks: tuple[tuple, ...]
     block_at: tuple[Optional[tuple], ...]
 
@@ -583,7 +587,7 @@ class SuperopProgram:
         return (
             f"SuperopProgram({len(self.blocks)} blocks over "
             f"{self.fused_ops}/{len(self.block_at)} ops, key "
-            f"{self.program_digest[:8]}/{self.config_fingerprint[:8]})"
+            f"{self.program_digest[:8]}/{self.lowering_fingerprint[:8]})"
         )
 
 
@@ -720,7 +724,7 @@ def compile_superops(
 
     return SuperopProgram(
         program_digest=executable.program_digest,
-        config_fingerprint=executable.config_fingerprint,
+        lowering_fingerprint=executable.lowering_fingerprint,
         blocks=tuple(blocks),
         block_at=tuple(block_at),
     )
@@ -759,11 +763,13 @@ def describe_invalid_pc(
 class CompilationCache:
     """LRU cache of :class:`ExecutableProgram` lowerings across runs.
 
-    Keys are ``(program digest, config fingerprint)`` — pure content, so
-    a re-assembled identical program or a re-built identical config hits.
-    The counters are part of the public contract: design-space exploration
-    asserts exactly one compilation per (program, config-content) pair via
-    :attr:`compilations`.
+    Keys are ``(program digest, lowering fingerprint)`` — pure content, so
+    a re-assembled identical program or a re-built identical config hits,
+    and so do configs that differ only in cache geometry, which lowering
+    never reads.  The superop tier adds the I/D line shifts its blocks
+    are fused at.  The counters are part of the public contract:
+    design-space exploration asserts exactly one compilation per
+    (program, implementation) pair via :attr:`compilations`.
 
     Thread-safe: the estimation service's worker pool resolves lowerings
     from concurrent threads, so every mutation of the LRU order and the
@@ -778,9 +784,12 @@ class CompilationCache:
             raise ValueError("compilation cache needs room for at least one entry")
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple[str, str], ExecutableProgram]" = OrderedDict()
-        #: superop artifact tier: same key space, independent LRU order —
-        #: a pair that only ever runs per-op never pays block lowering.
-        self._superops: "OrderedDict[tuple[str, str], SuperopProgram]" = OrderedDict()
+        #: superop artifact tier: the ops key plus the I/D line shifts,
+        #: independent LRU order — a pair that only ever runs per-op never
+        #: pays block lowering.
+        self._superops: "OrderedDict[tuple[str, str, int, int], SuperopProgram]" = (
+            OrderedDict()
+        )
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -799,7 +808,7 @@ class CompilationCache:
         self, config: "ProcessorConfig", program: "Program"
     ) -> ExecutableProgram:
         """Return the cached lowering for the pair, compiling on first use."""
-        key = (program.digest(), config.fingerprint())
+        key = (program.digest(), config.lowering_fingerprint())
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -827,11 +836,12 @@ class CompilationCache:
         skip the ops-tier probe; it must carry the same digest/fingerprint
         pair (the :class:`~repro.xtcore.iss.Simulator` constructor enforces
         that before calling here).  Blocks are fused at the config's own
-        I/D line shifts.
+        I/D line shifts, which complete the key.
         """
         if executable is None:
             executable = self.get_or_compile(config, program)
-        key = (executable.program_digest, executable.config_fingerprint)
+        ishift, dshift = line_shift(config.icache), line_shift(config.dcache)
+        key = (executable.program_digest, executable.lowering_fingerprint, ishift, dshift)
         with self._lock:
             cached = self._superops.get(key)
             if cached is not None:
@@ -839,9 +849,7 @@ class CompilationCache:
                 self.superop_hits += 1
                 return cached
             self.superop_misses += 1
-            superops = compile_superops(
-                executable, line_shift(config.icache), line_shift(config.dcache)
-            )
+            superops = compile_superops(executable, ishift, dshift)
             self.superop_compilations += 1
             self._superops[key] = superops
             if len(self._superops) > self.maxsize:
@@ -851,7 +859,7 @@ class CompilationCache:
 
     def put(self, executable: ExecutableProgram) -> None:
         """Insert a pre-built lowering (e.g. compiled in a parent process)."""
-        key = (executable.program_digest, executable.config_fingerprint)
+        key = (executable.program_digest, executable.lowering_fingerprint)
         with self._lock:
             self._entries[key] = executable
             self._entries.move_to_end(key)

@@ -143,6 +143,20 @@ class ProcessorConfig:
             self, name=name, extensions=tuple(compile_extension(list(specs)))
         )
 
+    def with_caches(self, icache: CacheConfig, dcache: CacheConfig) -> "ProcessorConfig":
+        """Return this processor with another cache geometry.
+
+        The derived config shares every value that does not depend on the
+        caches — the ISA, the extension index, the custom instances, the
+        state inits and the lowering and semantic fingerprints — so a
+        cache-geometry sweep computes them once, and lowers each program
+        once (the compilation cache keys on :meth:`lowering_fingerprint`).
+        """
+        derived = dataclasses.replace(self, icache=icache, dcache=dcache)
+        for name in _GEOMETRY_FREE:
+            derived.__dict__[name] = getattr(self, name)
+        return derived
+
     def fingerprint(self) -> str:
         """Stable content hash of everything that affects simulation + energy.
 
@@ -156,12 +170,46 @@ class ProcessorConfig:
         """
         return self._fingerprint
 
+    def lowering_fingerprint(self) -> str:
+        """:meth:`fingerprint` without the cache geometry.
+
+        Lowering a program (:func:`repro.xtcore.compiled.compile_program`)
+        reads the ISA, the timing, the register count and the extensions,
+        never the caches, so configs that differ only in cache geometry
+        share one lowering under this key.
+        """
+        return self._lowering_fingerprint
+
     @cached_property
     def _fingerprint(self) -> str:
-        blob = json.dumps(
-            self._fingerprint_payload(), sort_keys=True, separators=(",", ":")
+        return _digest(self._fingerprint_payload())
+
+    @cached_property
+    def _lowering_fingerprint(self) -> str:
+        payload = self._fingerprint_payload()
+        del payload["icache"], payload["dcache"]
+        payload["format"] = "repro-lowering-fingerprint/1"
+        return _digest(payload)
+
+    @cached_property
+    def _semantic_fingerprint(self) -> str:
+        extensions = []
+        for payload in self._extension_payloads:
+            payload = dict(payload)
+            for key in _NON_SEMANTIC_EXTENSION_KEYS:
+                payload.pop(key, None)
+            extensions.append(payload)
+        return _digest(
+            {
+                "format": "repro-semantic-fingerprint/1",
+                "num_registers": self.num_registers,
+                "extensions": extensions,
+            }
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def _extension_payloads(self) -> tuple[dict, ...]:
+        return tuple(_extension_payload(impl) for impl in self.extensions)
 
     def _fingerprint_payload(self) -> dict:
         """Canonical JSON-able form of the config's energy-relevant content."""
@@ -180,7 +228,7 @@ class ProcessorConfig:
                 self.timing.interlock_stall,
                 self.timing.uncached_fetch_penalty,
             ],
-            "extensions": [_extension_payload(impl) for impl in self.extensions],
+            "extensions": list(self._extension_payloads),
         }
 
     def describe(self) -> str:
@@ -197,6 +245,29 @@ class ProcessorConfig:
                 f"{impl.spec.description or 'no description'}"
             )
         return "\n".join(lines)
+
+
+#: Cached values of a :class:`ProcessorConfig` that do not depend on its
+#: cache geometry; :meth:`ProcessorConfig.with_caches` carries them over.
+_GEOMETRY_FREE = (
+    "isa",
+    "extension_index",
+    "custom_instances",
+    "state_inits",
+    "_extension_payloads",
+    "_lowering_fingerprint",
+    "_semantic_fingerprint",
+)
+
+#: Extension-payload keys that shape energy/timing but not execution:
+#: a custom instruction's latency, hardware instances, schedule and bus
+#: taps change what a retire *costs*, never what it *computes*.
+_NON_SEMANTIC_EXTENSION_KEYS = ("latency", "instances", "active_cycles", "bus_tapped")
+
+
+def _digest(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _extension_payload(impl: TieImplementation) -> dict:
@@ -244,6 +315,19 @@ def _extension_payload(impl: TieImplementation) -> dict:
         ),
         "bus_tapped": sorted(impl.bus_tapped),
     }
+
+
+def semantic_fingerprint(config: ProcessorConfig) -> str:
+    """Content hash of everything that shapes the execution *trajectory*.
+
+    Two configs with equal semantic fingerprints run any program through
+    the identical instruction sequence — same retires, branch outcomes,
+    memory addresses, interlocks and final machine state — no matter how
+    their caches, pipeline penalties, clock or custom-hardware costs
+    differ.  That is the compatibility contract of
+    :func:`repro.xtcore.run_batch`.
+    """
+    return config._semantic_fingerprint
 
 
 def build_processor(

@@ -439,7 +439,7 @@ class Simulator:
             executable = compilation_cache().get_or_compile(config, program)
         elif (
             executable.program_digest != program.digest()
-            or executable.config_fingerprint != config.fingerprint()
+            or executable.lowering_fingerprint != config.lowering_fingerprint()
         ):
             raise SimulationError(
                 f"executable {executable!r} was compiled for different content "

@@ -99,7 +99,7 @@ class TestManifestIntegration:
         # the first point is the pure-software baseline configuration;
         # the last uses a discovered extension
         for index in (0, space.size - 1):
-            config, program = space.builder(space.assignment_at(index))
+            config, program = space.build(space.assignment_at(index))
             assert program.instructions
 
 

@@ -59,7 +59,7 @@ class TestCompileSuperops:
         )
         assert len(superops) >= 2  # entry run and loop body at minimum
         assert superops.program_digest == executable.program_digest
-        assert superops.config_fingerprint == executable.config_fingerprint
+        assert superops.lowering_fingerprint == executable.lowering_fingerprint
         # block_at maps exactly the leaders that head each block
         for block in superops.blocks:
             assert superops.block_at[block[BLK_START]] is block
